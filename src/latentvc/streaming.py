@@ -23,6 +23,7 @@ import numpy as np
 from .audio_io import SAMPLE_RATE, Waveform, slice_pad
 from .codec import CodecInterface
 from .converter import ConverterFn
+from .errors import NonFiniteError
 from .features import mel_spectrogram, speaker_embedding
 
 CODEC_HOP = 256
@@ -218,7 +219,8 @@ def stream_step(
     stream. After one encode/convert/decode pass the current region is
     emitted with its first O samples cross-faded against the tail retained
     from the previous step (step 0 emits unmodified); the new overlap region
-    is retained for the next step.
+    is retained for the next step. A converter output with a NaN or Inf
+    raises NonFiniteError naming step k, before the state advances.
     """
     if k != state.k:
         raise ValueError(f"stream steps must run in order: expected step {state.k}, got {k}")
@@ -237,6 +239,8 @@ def stream_step(
     z = codec.encode(window)
     t1 = time.perf_counter()
     z_hat = converter(z, state.cond_mel, state.spk)
+    if not np.isfinite(z_hat).all():
+        raise NonFiniteError(f"converter output at step {k} contains non-finite values")
     t2 = time.perf_counter()
     y = codec.decode(z_hat)
     t3 = time.perf_counter()

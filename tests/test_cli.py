@@ -137,6 +137,19 @@ class TestStream:
         assert code == 0
         assert payload["t_model_ms"] == pytest.approx(240.0)
 
+    def test_nan_checkpoint_exits_4_naming_the_chunk(self, capsys, wavs, tmp_path):
+        src, ref = wavs
+        params = init_params(WIDE_TINY, seed=0)
+        params.tensors["src_in.w"][:] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_params(ckpt, params)
+        code = main([
+            "stream", "--source", src, "--reference", ref,
+            "--output", str(tmp_path / "out.wav"), "--checkpoint", str(ckpt), *GEOMETRY,
+        ])
+        assert code == 4
+        assert "step 0" in capsys.readouterr().err
+
     def test_invalid_geometry_exits_2(self, capsys, wavs, tmp_path):
         src, ref = wavs
         assert main([

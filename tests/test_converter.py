@@ -1,16 +1,21 @@
 """Dual-branch joint-attention converter against a scalar-loop oracle.
 
 The oracle walks every token and head with explicit python loops in float64
-(math.tanh, math.exp), sharing no code with the vectorized forward. Also
-covers the zero-gate identity at init, the two architecture flags, shape
-and finiteness validation, and the checkpoint container including tamper
-rejection.
+(math.tanh, math.exp), sharing no code with the vectorized forward, including a property test over
+random tiny geometries. Also covers the zero-gate identity at init, the two
+architecture flags, shape and finiteness validation, the reference cache and
+single-stream guard of `make_converter`, and the checkpoint container
+including tamper rejection.
 """
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentvc import (
     CheckpointError,
@@ -147,14 +152,17 @@ def oracle_forward(params, z, c, g):
                      for i in range(T_s)])
 
 
-def random_tiny_params(seed, **flag_overrides):
-    cfg = ConverterConfig(**{**TINY, **flag_overrides})
+def random_params(cfg, seed):
     params = init_params(cfg, seed=0)
     r = np.random.default_rng(seed)
     for name in params.tensors:
         params.tensors[name] = r.standard_normal(
             params.tensors[name].shape).astype(np.float32) * 0.2
     return params
+
+
+def random_tiny_params(seed, **flag_overrides):
+    return random_params(ConverterConfig(**{**TINY, **flag_overrides}), seed)
 
 
 def tiny_inputs(seed, t_s=5, t_c=3):
@@ -277,6 +285,53 @@ class TestForwardOracle:
         assert rel < 1e-5
 
 
+# (n_heads, d_head): d_model stays even for the sinusoidal positions, and
+# d_head 2 and 3 leave 1/sqrt(d_head) inexact in float32.
+HEAD_SHAPES = [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2), (2, 4)]
+
+tiny_configs = st.builds(
+    lambda heads, n_layers, d_latent, d_cond, d_spk, ffn_ratio, update, speaker: ConverterConfig(
+        d_latent=d_latent, d_cond=d_cond, d_spk=d_spk, d_model=heads[0] * heads[1],
+        n_layers=n_layers, n_heads=heads[0], d_head=heads[1], ffn_ratio=ffn_ratio,
+        update_cond_branch=update, use_speaker_condition=speaker),
+    st.sampled_from(HEAD_SHAPES), st.integers(1, 3), st.integers(1, 5), st.integers(1, 4),
+    st.integers(1, 3), st.integers(1, 2), st.booleans(), st.booleans(),
+)
+
+
+def random_inputs(cfg, r, t_s, t_c):
+    return (r.standard_normal((t_s, cfg.d_latent)),
+            r.standard_normal((t_c, cfg.d_cond)),
+            r.standard_normal(cfg.d_spk))
+
+
+class TestForwardProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=tiny_configs, t_s=st.integers(1, 5), t_c=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scalar_oracle_on_random_geometries(self, cfg, t_s, t_c, seed):
+        params = random_params(cfg, seed)
+        z, c, g = random_inputs(cfg, np.random.default_rng(seed), t_s, t_c)
+        got = forward(params, z, c, g)
+        want = oracle_forward(params, z, c, g)
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs, t_c1=st.integers(1, 5), t_c2=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_closure_is_bitwise_forward_across_reference_changes(self, cfg, t_c1, t_c2, seed):
+        params = random_params(cfg, seed)
+        r = np.random.default_rng(seed)
+        _, c1, g1 = random_inputs(cfg, r, 1, t_c1)
+        _, c2, g2 = random_inputs(cfg, r, 1, t_c2)
+        conv = make_converter(params)
+        # miss, hit, miss, miss back to c1, new speaker, then c1 mutated in place
+        calls = [(c1, g1), (c1, g1), (c2, g1), (c1, g1), (c1, g2), (c1, g2)]
+        for i, (c, g) in enumerate(calls):
+            if i == 5:
+                c1 += 0.5
+            z = r.standard_normal((int(r.integers(1, 6)), cfg.d_latent))
+            assert np.array_equal(conv(z, c, g), forward(params, z, c, g))
+
+
 class TestInitIdentity:
     def test_blocks_are_bitwise_identity(self):
         cfg = ConverterConfig(d_latent=12, d_cond=6, d_spk=4, d_model=16,
@@ -377,31 +432,82 @@ class TestForwardValidation:
             forward(tiny_params, z, c, g_bad)
 
 
-class TestCondPositions:
-    def test_arange_matches_default(self, tiny_params):
-        z, c, g = tiny_inputs(1)
-        a = forward(tiny_params, z, c, g)
-        b = forward(tiny_params, z, c, g, cond_positions=np.arange(len(c)))
-        assert np.array_equal(a, b)
-
-    def test_shifted_positions_change_output(self, tiny_params):
-        z, c, g = tiny_inputs(1)
-        a = forward(tiny_params, z, c, g)
-        b = forward(tiny_params, z, c, g, cond_positions=np.arange(len(c)) + 100)
-        assert not np.allclose(a, b)
-
-    def test_wrong_shape_rejected(self, tiny_params):
-        z, c, g = tiny_inputs(1)
-        with pytest.raises(ValueError):
-            forward(tiny_params, z, c, g, cond_positions=np.arange(len(c) + 1))
-
-
 class TestMakeConverter:
     def test_matches_direct_forward(self, tiny_params):
         conv = make_converter(tiny_params)
         for seed in (1, 2, 1):  # revisit the first speaker to hit the cache
             z, c, g = tiny_inputs(seed)
             assert np.array_equal(conv(z, c, g), forward(tiny_params, z, c, g))
+
+    def test_refuses_reentrant_call(self, tiny_params):
+        conv = make_converter(tiny_params)
+        z, c, g = tiny_inputs(1)
+        refused = []
+
+        class Reenters:
+            def __array__(self, dtype=None, copy=None):
+                with pytest.raises(RuntimeError, match="single-stream"):
+                    conv(z, c, g)
+                refused.append(True)
+                return np.asarray(c, dtype=dtype)
+
+        assert np.array_equal(conv(z, Reenters(), g), forward(tiny_params, z, c, g))
+        assert refused == [True]
+
+    def test_refuses_concurrent_call(self, tiny_params):
+        conv = make_converter(tiny_params)
+        z, c, g = tiny_inputs(1)
+        entered, release = threading.Event(), threading.Event()
+
+        class Blocks:
+            def __array__(self, dtype=None, copy=None):
+                entered.set()
+                release.wait(10)
+                return np.asarray(c, dtype=dtype)
+
+        worker = threading.Thread(target=conv, args=(z, Blocks(), g))
+        worker.start()
+        try:
+            assert entered.wait(10)
+            with pytest.raises(RuntimeError, match="single-stream"):
+                conv(z, c, g)
+        finally:
+            release.set()
+            worker.join(10)
+        assert np.array_equal(conv(z, c, g), forward(tiny_params, z, c, g))
+
+    def test_concurrent_callers_get_their_output_or_a_refusal(self, tiny_params):
+        conv = make_converter(tiny_params)
+        inputs = [tiny_inputs(j, t_s=2 + j, t_c=1 + j) for j in range(4)]
+        wants = [forward(tiny_params, *x) for x in inputs]
+        counts = [{"ok": 0, "refused": 0, "wrong": 0} for _ in inputs]
+        deadline = time.monotonic() + 1.0
+
+        def hammer(j):
+            while time.monotonic() < deadline:
+                try:
+                    out = conv(*inputs[j])
+                except RuntimeError as exc:
+                    counts[j]["refused" if "single-stream" in str(exc) else "wrong"] += 1
+                    continue
+                except Exception:
+                    counts[j]["wrong"] += 1
+                    continue
+                counts[j]["ok" if np.array_equal(out, wants[j]) else "wrong"] += 1
+
+        threads = [threading.Thread(target=hammer, args=(j,)) for j in range(len(inputs))]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(10)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sum(c["wrong"] for c in counts) == 0, counts
+        assert sum(c["ok"] for c in counts) > 0
 
     def test_identity_converter_passthrough(self):
         z = np.ones((3, 1024))

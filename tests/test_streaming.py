@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from latentvc import (
+    NonFiniteError,
     StreamConfig,
     Waveform,
     build_report,
@@ -190,6 +191,18 @@ class TestStreamStep:
         for k in range(3):
             out, state, _ = stream_step(state, cfg, src, k, toy_codec(), identity_converter)
             assert len(out) == cfg.current_samples
+
+    def test_non_finite_converter_output_names_the_step(self, short_wave):
+        cfg = small_cfg()
+        state = init_stream(short_wave)
+        src = make_wave(4 * cfg.current_samples, seed=4)
+        nan_at_step_2 = gain_converter([1.0, 1.0, np.nan])
+        for k in range(2):
+            stream_step(state, cfg, src, k, toy_codec(), nan_at_step_2)
+        with pytest.raises(NonFiniteError, match="step 2"):
+            stream_step(state, cfg, src, 2, toy_codec(), nan_at_step_2)
+        assert state.k == 2
+        assert len(state.timings) == 2
 
 
 class TestStreamRun:
