@@ -27,10 +27,16 @@ query, since the frozen stream's keys and values are all prepared.
 `make_converter` keeps the prepared state of the last reference across
 calls, so a stream pays for it once; its closure is single-stream and
 refuses concurrent or reentrant calls.
+
+The blocks multiply feature-major activations by (out, in) matrices. The
+projection matrices are therefore stored out-major (Fortran order): their
+transpose is C-contiguous, so the hot path multiplies with views and the
+process holds one copy of the weights.
 """
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
@@ -77,6 +83,18 @@ class ConverterConfig:
         return self.d_model * self.ffn_ratio
 
 
+# Projection matrices, by the last two parts of their name. They are stored
+# out-major so that `w.T` is the C-contiguous (out, in) matrix the blocks
+# multiply with. The adaptive-norm matrices stay row-major: they act on one
+# speaker vector per reference, and out-major storage would change the
+# rounding of those matrix-vector products.
+_OUT_MAJOR = frozenset(("src_in.w", "cond_in.w", "src_out.w", "qkv.w", "attn_out.w", "ffn.w1", "ffn.w2"))
+
+
+def _storage_order(name: str) -> str:
+    return "F" if ".".join(name.split(".")[-2:]) in _OUT_MAJOR else "C"
+
+
 # Structural fields that fix tensor shapes; the two ablation flags are
 # runtime switches and do not participate in checkpoint compatibility.
 _SHAPE_FIELDS = ("d_latent", "d_cond", "d_spk", "d_model", "n_layers", "n_heads", "d_head", "ffn_ratio")
@@ -85,8 +103,12 @@ _SHAPE_FIELDS = ("d_latent", "d_cond", "d_spk", "d_model", "n_layers", "n_heads"
 def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape map for every parameter tensor.
 
-    Linear weights are stored (in, out) and applied as ``x @ w + b``. This
-    map is the single source of truth for init, save, and load.
+    Linear weights have shape (in, out) and are applied as ``x @ w + b``. This
+    map is the single source of truth for init, save, and load. Shape is not
+    storage order: `init_params` and `load_params` allocate the projection
+    matrices (`src_in.w`, `cond_in.w`, `src_out.w`, and each block's `qkv.w`,
+    `attn_out.w`, `ffn.w1`, `ffn.w2`) out-major, i.e. in Fortran order, and
+    everything else row-major.
     """
     d, s = cfg.d_model, {}
     s["src_in.w"] = (cfg.d_latent, d)
@@ -127,16 +149,18 @@ def init_params(cfg: ConverterConfig, seed: int, dtype=np.float32) -> ConverterP
     """Glorot-uniform weights, zero biases, zero adaptive-norm output layers.
 
     The zeroed `adaln.w2`/`adaln.b2` make all six modulation vectors zero at
-    init, so every block starts as the identity on both branches.
+    init, so every block starts as the identity on both branches. Storage
+    order follows `tensor_shapes`.
     """
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in tensor_shapes(cfg).items():
+        order = _storage_order(name)
         if name.endswith(".b") or name.endswith("b1") or name.endswith("b2") or name.endswith("adaln.w2"):
-            tensors[name] = np.zeros(shape, dtype=dtype)
+            tensors[name] = np.zeros(shape, dtype=dtype, order=order)
         else:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            tensors[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+            tensors[name] = rng.uniform(-limit, limit, size=shape).astype(dtype, order=order)
     return ConverterParams(cfg=cfg, tensors=tensors)
 
 
@@ -215,7 +239,8 @@ def _gelu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """2*gelu(x) written into `out` (same shape, distinct storage); x is preserved.
 
     Uses sqrt(2/pi)*(x + 0.044715*x^3) = x*(sqrt(2/pi) + sqrt(2/pi)*0.044715*x^2).
-    GELU's factor 0.5 is folded into the FFN output weights (see `_folded_weights`).
+    GELU's factor 0.5 is applied to the (d_model, T) FFN output, before its
+    bias add, so it costs no pass over the (d_ffn, T) hidden array.
     """
     np.multiply(x, x, out=out)
     out *= _GELU_C * 0.044715
@@ -236,31 +261,15 @@ def _buf(scratch: dict, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     return a
 
 
-def _folded_weights(params: ConverterParams) -> dict[str, np.ndarray]:
-    """Contiguous transposed copies of the projection matrices, with constants folded in.
+def _w(t: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """Projection matrix `name` as the C-contiguous (out, in) matrix the blocks
+    multiply with: a view for out-major storage, a copy for row-major."""
+    return np.ascontiguousarray(t[name].T)
 
-    The blocks compute W.T @ x.T with activations kept feature-major; on a
-    single core that orientation runs the large rotating-weight products
-    measurably faster than x @ W. Two constants are folded in while copying:
-    the attention scale 1/sqrt(d_head) into the query rows of `qkv.w` and
-    `qkv.b` (exact when d_head is a power of 4), and GELU's 0.5 into `ffn.w2`
-    (exact). `qkv.b` is the only bias copied.
-    """
-    cfg, t = params.cfg, params.tensors
-    dtype = t["src_in.w"].dtype
-    d = cfg.d_model
-    q_scale = dtype.type(1.0) / np.sqrt(dtype.type(cfg.d_head))
-    store = {n: np.ascontiguousarray(t[n].T) for n in ("src_in.w", "cond_in.w", "src_out.w")}
-    for i in range(cfg.n_layers):
-        for br in ("src", "cond"):
-            p = f"layers.{i}.{br}."
-            for n in ("qkv.w", "attn_out.w", "ffn.w1", "ffn.w2"):
-                store[p + n] = np.ascontiguousarray(t[p + n].T)
-            store[p + "qkv.w"][:d] *= q_scale
-            store[p + "qkv.b"] = t[p + "qkv.b"].copy()
-            store[p + "qkv.b"][:d] *= q_scale
-            store[p + "ffn.w2"] *= dtype.type(0.5)
-    return store
+
+def _q_scale(cfg: ConverterConfig, dtype: np.dtype):
+    """Attention's 1/sqrt(d_head), applied to query rows after their bias add."""
+    return dtype.type(1.0) / np.sqrt(dtype.type(cfg.d_head))
 
 
 @dataclass(frozen=True)
@@ -281,12 +290,11 @@ class Prepared:
     kv_cond: tuple[np.ndarray, ...] | None
 
 
-def prepare(params: ConverterParams, wt: dict[str, np.ndarray], c: np.ndarray, g: np.ndarray) -> Prepared:
+def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray) -> Prepared:
     """Validate the reference (c, g) and compute its per-reference state.
 
-    `wt` is `_folded_weights(params)`. The condition stream gets its input
-    projection and positions (starting at 0); the speaker vector gives the
-    modulations of every layer.
+    The condition stream gets its input projection and positions (starting
+    at 0); the speaker vector gives the modulations of every layer.
     """
     cfg, t = params.cfg, params.tensors
     dtype = t["src_in.w"].dtype
@@ -304,7 +312,7 @@ def prepare(params: ConverterParams, wt: dict[str, np.ndarray], c: np.ndarray, g
 
     d, T_c = cfg.d_model, c.shape[0]
     mods = speaker_modulations(params, g.astype(dtype)) if cfg.use_speaker_condition else None
-    h_cond0 = wt["cond_in.w"] @ np.ascontiguousarray(c.T, dtype=dtype)
+    h_cond0 = _w(t, "cond_in.w") @ np.ascontiguousarray(c.T, dtype=dtype)
     h_cond0 += t["cond_in.b"][:, None]
     h_cond0 += _cached_pe(T_c, d, dtype.name).T
     ln0 = _ln_fm_into(h_cond0, np.empty_like(h_cond0))
@@ -316,22 +324,24 @@ def prepare(params: ConverterParams, wt: dict[str, np.ndarray], c: np.ndarray, g
             s1c, b1c = (m[:, None] for m in mods[i]["cond"][:2])
             ln = ln0 * s1c
             ln += b1c
-        out = wt[pc + "qkv.w"][rows] @ ln
-        out += wt[pc + "qkv.b"][rows, None]
-        out.flags.writeable = False
+        out = _w(t, pc + "qkv.w")[rows] @ ln
+        out += t[pc + "qkv.b"][rows, None]
         return out
 
     if cfg.update_cond_branch:
         qkv_cond0, kv_cond = cond_qkv(0, slice(None)), None
+        qkv_cond0[:d] *= _q_scale(cfg, dtype)
+        qkv_cond0.flags.writeable = False
     else:
         qkv_cond0, kv_cond = None, tuple(cond_qkv(i, slice(d, None)) for i in range(cfg.n_layers))
+        for kv in kv_cond:
+            kv.flags.writeable = False
     h_cond0.flags.writeable = False
     return Prepared(mods, h_cond0, qkv_cond0, kv_cond)
 
 
 def _convert(
     params: ConverterParams,
-    wt: dict[str, np.ndarray],
     prep: Prepared,
     z: np.ndarray,
     scratch: dict,
@@ -355,11 +365,12 @@ def _convert(
     d, n_heads, d_head, d_ffn = cfg.d_model, cfg.n_heads, cfg.d_head, cfg.d_ffn
     update = cfg.update_cond_branch
     mods = prep.mods
+    q_scale, half = _q_scale(cfg, dtype), dtype.type(0.5)
 
     zT = _buf(scratch, "zT", (cfg.d_latent, T_s), dtype)
     np.copyto(zT, z.T)
     h_src = _buf(scratch, "h_src", (d, T_s), dtype)
-    np.matmul(wt["src_in.w"], zT, out=h_src)
+    np.matmul(_w(t, "src_in.w"), zT, out=h_src)
     h_src += t["src_in.b"][:, None]
     h_src += _cached_pe(T_s, d, dtype.name).T
     h_cond = prep.h_cond0
@@ -402,8 +413,9 @@ def _convert(
         if mods is not None:
             ln_s *= s1s
             ln_s += b1s
-        np.matmul(wt[ps + "qkv.w"], ln_s, out=qkv[:, :T_s])
-        qkv[:, :T_s] += wt[ps + "qkv.b"][:, None]
+        np.matmul(_w(t, ps + "qkv.w"), ln_s, out=qkv[:, :T_s])
+        qkv[:, :T_s] += t[ps + "qkv.b"][:, None]
+        qkv[:d, :T_s] *= q_scale
         if not update:
             np.copyto(qkv[d:, T_s:], prep.kv_cond[i])
         elif i == 0:
@@ -414,8 +426,10 @@ def _convert(
                 ln_c *= s1c
                 ln_c += b1c
             rows = slice(0 if cond_live else d, 3 * d)
-            np.matmul(wt[pc + "qkv.w"][rows], ln_c, out=qkv[rows, T_s:])
-            qkv[rows, T_s:] += wt[pc + "qkv.b"][rows, None]
+            np.matmul(_w(t, pc + "qkv.w")[rows], ln_c, out=qkv[rows, T_s:])
+            qkv[rows, T_s:] += t[pc + "qkv.b"][rows, None]
+            if cond_live:
+                qkv[:d, T_s:] *= q_scale
 
         # Keys on rows: scores[head, key, query]. The softmax reduces over
         # axis 1 and its normalisation is applied to the (d_head, T_q) output.
@@ -428,13 +442,13 @@ def _convert(
         np.matmul(v_heads, scores, out=attn_heads)
         attn_heads /= scores.sum(axis=1, keepdims=True)
 
-        np.matmul(wt[ps + "attn_out.w"], attn[:, :T_s], out=out_s)
+        np.matmul(_w(t, ps + "attn_out.w"), attn[:, :T_s], out=out_s)
         out_s += t[ps + "attn_out.b"][:, None]
         if mods is not None:
             out_s *= a1s
         h_src += out_s
         if cond_live:
-            np.matmul(wt[pc + "attn_out.w"], attn[:, T_s:], out=out_c)
+            np.matmul(_w(t, pc + "attn_out.w"), attn[:, T_s:], out=out_c)
             out_c += t[pc + "attn_out.b"][:, None]
             if mods is not None:
                 out_c *= a1c
@@ -444,10 +458,11 @@ def _convert(
         if mods is not None:
             ln_s *= s2s
             ln_s += b2s
-        np.matmul(wt[ps + "ffn.w1"], ln_s, out=hid_s)
+        np.matmul(_w(t, ps + "ffn.w1"), ln_s, out=hid_s)
         hid_s += t[ps + "ffn.b1"][:, None]
         _gelu_into(hid_s, gel_s)
-        np.matmul(wt[ps + "ffn.w2"], gel_s, out=out_s)
+        np.matmul(_w(t, ps + "ffn.w2"), gel_s, out=out_s)
+        out_s *= half
         out_s += t[ps + "ffn.b2"][:, None]
         if mods is not None:
             out_s *= a2s
@@ -457,10 +472,11 @@ def _convert(
             if mods is not None:
                 ln_c *= s2c
                 ln_c += b2c
-            np.matmul(wt[pc + "ffn.w1"], ln_c, out=hid_c)
+            np.matmul(_w(t, pc + "ffn.w1"), ln_c, out=hid_c)
             hid_c += t[pc + "ffn.b1"][:, None]
             _gelu_into(hid_c, gel_c)
-            np.matmul(wt[pc + "ffn.w2"], gel_c, out=out_c)
+            np.matmul(_w(t, pc + "ffn.w2"), gel_c, out=out_c)
+            out_c *= half
             out_c += t[pc + "ffn.b2"][:, None]
             if mods is not None:
                 out_c *= a2c
@@ -471,7 +487,7 @@ def _convert(
 
     _ln_fm_into(h_src, ln_s)
     outT = _buf(scratch, "outT", (cfg.d_latent, T_s), dtype)
-    np.matmul(wt["src_out.w"], ln_s, out=outT)
+    np.matmul(_w(t, "src_out.w"), ln_s, out=outT)
     outT += t["src_out.b"][:, None]
     out = outT.T.copy()
     if return_trace:
@@ -498,33 +514,34 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     blocks. Work whose result is never read is skipped: the last block's
     condition queries, attention output and FFN (unless a trace is asked
     for), and with the branch frozen all condition queries, so attention
-    is T_s x T. This stateless entry point redoes both halves and the
-    weight layout on every call; `make_converter` keeps them across calls.
+    is T_s x T. This stateless entry point redoes both halves on every
+    call; `make_converter` keeps the prepared half across calls.
 
-    The body keeps activations feature-major (d, T) and multiplies with
-    transposed weight copies, reuses work buffers across layers, and
-    operates in place where it can; one chunk must stay well under its own
-    duration on a single core, and GEMM orientation, allocation churn, and
-    page faults were all measured costs.
+    The body keeps activations feature-major (d, T) and multiplies with the
+    (out, in) transposes of the projection matrices, which are views when
+    the matrices are stored out-major (as `init_params` and `load_params`
+    store them) and per-call copies otherwise. It reuses work buffers
+    across layers and operates in place where it can; one chunk must stay
+    well under its own duration on a single core, and GEMM orientation,
+    allocation churn, and page faults were all measured costs.
     """
-    wt = _folded_weights(params)
-    return _convert(params, wt, prepare(params, wt, c, g), z, {}, return_trace)
+    return _convert(params, prepare(params, c, g), z, {}, return_trace)
 
 
 def make_converter(params: ConverterParams) -> ConverterFn:
     """Bind parameters into the (z, c, g) -> z callable the pipeline uses.
 
-    The returned callable is single-stream. It holds the folded weight
-    copies (made here, not in the first chunk), one set of work buffers,
-    and the prepared state of the last reference it saw, keyed on the
-    shape, dtype and bytes of (c, g): chunk after chunk of a stream reuses
-    it, and a new or mutated reference recomputes it. Its output is bitwise
-    equal to `forward`. Calling it again while a call is running, from
-    another thread or reentrantly, raises RuntimeError rather than
-    corrupting the shared buffers; make a separate converter per
+    The returned callable is single-stream. It holds no copy of the weights:
+    it multiplies with views of `params.tensors` (see `forward` for
+    row-major matrices), so building it allocates nothing. It holds one set
+    of work buffers and the prepared state of the last reference it saw,
+    keyed on the shape, dtype and bytes of (c, g): chunk after chunk of a
+    stream reuses it, and a new or mutated reference recomputes it. Its
+    output is bitwise equal to `forward`. Calling it again while a call is
+    running, from another thread or reentrantly, raises RuntimeError rather
+    than corrupting the shared buffers; make a separate converter per
     concurrent stream.
     """
-    wt = _folded_weights(params)
     scratch: dict = {}
     busy = threading.Lock()
     ref_key, ref_state = None, None
@@ -537,8 +554,8 @@ def make_converter(params: ConverterParams) -> ConverterFn:
             c, g = np.asarray(c), np.asarray(g)
             key = (c.shape, c.dtype.str, c.tobytes(), g.shape, g.dtype.str, g.tobytes())
             if key != ref_key:
-                ref_state, ref_key = prepare(params, wt, c, g), key
-            return _convert(params, wt, ref_state, z, scratch)
+                ref_state, ref_key = prepare(params, c, g), key
+            return _convert(params, ref_state, z, scratch)
         finally:
             busy.release()
 
@@ -577,56 +594,94 @@ def save_params(path: str | Path, params: ConverterParams) -> None:
             f.write(np.ascontiguousarray(params.tensors[name], dtype="<f4").tobytes())
 
 
+# Rows per read of an out-major matrix from a checkpoint. Each block is
+# transposed into place from a small staging buffer; at the default model
+# that is 4x faster than transposing whole matrices (512 x 2048 float32:
+# 1.3 ms against 5.3 ms).
+_LOAD_ROWS = 32
+
+
+def _read_exact(f, buf: np.ndarray, path, name: str) -> None:
+    if f.readinto(buf) != buf.nbytes:
+        raise CheckpointError(f"{path}: truncated file (short read in tensor {name})")
+
+
 def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> ConverterParams:
     """Load a checkpoint; validate magic, version, shapes, and total size.
 
     If `cfg` is given, its structural fields must match the file and its
     runtime flags (the two ablation switches) take precedence over the
     stored ones.
-    """
-    blob = Path(path).read_bytes()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 8 or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a converter checkpoint (bad magic)")
-    header_len = int.from_bytes(blob[8:16], "little")
-    header_end = 16 + header_len
-    if header_end > len(blob):
-        raise CheckpointError(f"{path}: truncated file (header extends past EOF)")
-    try:
-        header = json.loads(blob[16:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: version mismatch (file {header.get('format_version')}, supported {CHECKPOINT_VERSION})"
-        )
-    try:
-        file_cfg = ConverterConfig(**header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: invalid config in header ({exc})") from exc
-    if cfg is not None:
-        for f in _SHAPE_FIELDS:
-            if getattr(cfg, f) != getattr(file_cfg, f):
-                raise CheckpointError(
-                    f"{path}: shape mismatch on {f} (file {getattr(file_cfg, f)}, requested {getattr(cfg, f)})"
-                )
-        file_cfg = replace(
-            file_cfg,
-            update_cond_branch=cfg.update_cond_branch,
-            use_speaker_condition=cfg.use_speaker_condition,
-        )
 
-    shapes = tensor_shapes(file_cfg)
-    manifest = header.get("manifest", {})
-    if set(manifest) != set(shapes):
-        raise CheckpointError(f"{path}: manifest does not list the expected tensors")
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
-        m_shape, m_offset = manifest[name]
-        if tuple(m_shape) != shape:
-            raise CheckpointError(f"{path}: shape mismatch for {name} (file {m_shape}, expected {list(shape)})")
-        start = header_end + int(m_offset)
-        nbytes = 4 * int(np.prod(shape))
-        if start + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated file (tensor {name} extends past EOF)")
-        tensors[name] = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)), offset=start).reshape(shape).copy()
+    The header and the whole manifest are checked against the file size
+    before any tensor is read. Tensors are then read one at a time, straight
+    into the storage order `tensor_shapes` describes; out-major matrices go
+    through one small staging buffer, so loading never holds a second copy
+    of the model.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(16)
+        if len(head) < 16 or head[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a converter checkpoint (bad magic)")
+        header_len = int.from_bytes(head[8:16], "little")
+        header_end = 16 + header_len
+        if header_end > size:
+            raise CheckpointError(f"{path}: truncated file (header extends past EOF)")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{path}: version mismatch (file {header.get('format_version')}, supported {CHECKPOINT_VERSION})"
+            )
+        try:
+            file_cfg = ConverterConfig(**header["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: invalid config in header ({exc})") from exc
+        if cfg is not None:
+            for fld in _SHAPE_FIELDS:
+                if getattr(cfg, fld) != getattr(file_cfg, fld):
+                    raise CheckpointError(
+                        f"{path}: shape mismatch on {fld} (file {getattr(file_cfg, fld)}, requested {getattr(cfg, fld)})"
+                    )
+            file_cfg = replace(
+                file_cfg,
+                update_cond_branch=cfg.update_cond_branch,
+                use_speaker_condition=cfg.use_speaker_condition,
+            )
+
+        shapes = tensor_shapes(file_cfg)
+        manifest = header.get("manifest", {})
+        if set(manifest) != set(shapes):
+            raise CheckpointError(f"{path}: manifest does not list the expected tensors")
+        spans = []
+        for name, shape in shapes.items():
+            try:
+                m_shape, m_offset = manifest[name]
+                m_shape, m_offset = tuple(m_shape), int(m_offset)
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(f"{path}: malformed manifest entry for {name} ({exc})") from exc
+            if m_shape != shape:
+                raise CheckpointError(f"{path}: shape mismatch for {name} (file {list(m_shape)}, expected {list(shape)})")
+            start = header_end + m_offset
+            if m_offset < 0 or start + 4 * int(np.prod(shape)) > size:
+                raise CheckpointError(f"{path}: truncated file (tensor {name} extends past EOF)")
+            spans.append((name, shape, start))
+
+        staging = np.empty(_LOAD_ROWS * max(s[1] for n, s in shapes.items() if _storage_order(n) == "F"), "<f4")
+        tensors: dict[str, np.ndarray] = {}
+        for name, shape, start in spans:
+            t = np.empty(shape, "<f4", order=_storage_order(name))
+            f.seek(start)
+            if t.flags.c_contiguous:
+                _read_exact(f, t, path, name)
+            else:
+                for i in range(0, shape[0], _LOAD_ROWS):
+                    rows = t[i : i + _LOAD_ROWS]
+                    buf = staging[: rows.size].reshape(rows.shape)
+                    _read_exact(f, buf, path, name)
+                    rows[...] = buf
+            tensors[name] = t
     return ConverterParams(cfg=file_cfg, tensors=tensors)

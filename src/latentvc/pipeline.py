@@ -31,14 +31,7 @@ from .converter import (
     make_converter,
 )
 from .features import mel_spectrogram, speaker_embedding
-from .streaming import (
-    LatencyReport,
-    StreamConfig,
-    build_report,
-    init_stream,
-    stream_run,
-    stream_step,
-)
+from .streaming import LatencyReport, StreamConfig, build_report, stream_run
 
 
 @dataclass(frozen=True)
@@ -114,8 +107,8 @@ def convert_streaming(req: ConvertRequest) -> tuple[Waveform, LatencyReport]:
 
 
 def bench(req: ConvertRequest, repeats: int) -> tuple[Waveform, LatencyReport]:
-    """Benchmark streaming conversion: one warm-up run, then `repeats`
-    measured runs pooled into a single report.
+    """Benchmark streaming conversion: one warm-up `stream_run`, then
+    `repeats` measured runs pooled into a single report.
 
     Per-chunk timings from all measured runs feed the mean/p95 fields; rtf
     averages the per-run wall-time ratios. Audio is identical across runs,
@@ -127,30 +120,13 @@ def bench(req: ConvertRequest, repeats: int) -> tuple[Waveform, LatencyReport]:
     reference = read_wav(req.reference_path)
     codec = toy_codec()
     converter = load_converter(req)
-    cfg = req.stream_cfg
 
-    stream_run(source, reference, cfg, codec, converter)  # warm-up, discarded
-
-    n = len(source)
-    C = cfg.current_samples
-    O = cfg.overlap_samples
-    F = cfg.future_samples
-    steps = math.ceil(n / C)
-    all_timings: list[tuple[float, float, float]] = []
-    walls: list[float] = []
-    out: Waveform | None = None
-    for _ in range(repeats):
-        wall_start = time.perf_counter()
-        state = init_stream(reference)
-        chunks = []
-        for k in range(steps):
-            flush = k * C + C + O + F > n
-            chunk, state, _ = stream_step(state, cfg, source, k, codec, converter, flush=flush)
-            chunks.append(chunk)
-        out = Waveform(np.concatenate(chunks)[:n])
-        walls.append(time.perf_counter() - wall_start)
-        all_timings.extend(state.timings)
-    report = build_report(cfg, all_timings, float(np.mean(walls)), duration_s=source.duration_s)
+    stream_run(source, reference, req.stream_cfg, codec, converter)  # warm-up, discarded
+    runs = [stream_run(source, reference, req.stream_cfg, codec, converter) for _ in range(repeats)]
+    out = runs[-1][0]
+    reports = [report for _, report in runs]
+    mean_wall_s = float(np.mean([r.rtf for r in reports])) * source.duration_s
+    report = build_report(req.stream_cfg, [t for r in reports for t in r.timings], mean_wall_s, source.duration_s)
     if req.output_path is not None:
         write_wav(req.output_path, out)
     return out, report

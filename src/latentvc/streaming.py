@@ -112,6 +112,9 @@ class LatencyReport:
     t_latency_ms: float
     chunk_count: int
     rtf: float
+    # The per-chunk (enc, convert, dec) ms samples the fields above summarise;
+    # kept so that reports of repeated runs can be pooled.
+    timings: tuple[tuple[float, float, float], ...] = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -158,6 +161,7 @@ def build_report(
         t_latency_ms=t_model + t_compute_mean,
         chunk_count=len(timings),
         rtf=wall_s / duration_s,
+        timings=tuple(timings),
     )
 
 

@@ -4,14 +4,18 @@ The oracle walks every token and head with explicit python loops in float64
 (math.tanh, math.exp), sharing no code with the vectorized forward, including a property test over
 random tiny geometries. Also covers the zero-gate identity at init, the two
 architecture flags, shape and finiteness validation, the reference cache and
-single-stream guard of `make_converter`, and the checkpoint container
-including tamper rejection.
+single-stream guard of `make_converter`, the storage layout of the weights
+and the memory that loading and binding them takes, and the checkpoint
+container including tamper rejection before any tensor is read.
 """
 
+import json
 import math
+import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +167,50 @@ def random_params(cfg, seed):
 
 def random_tiny_params(seed, **flag_overrides):
     return random_params(ConverterConfig(**{**TINY, **flag_overrides}), seed)
+
+
+# Projection matrices the converter multiplies with as (out, in); they are
+# stored out-major. Everything else is row-major.
+OUT_MAJOR = ("src_in.w", "cond_in.w", "src_out.w", "qkv.w", "attn_out.w", "ffn.w1", "ffn.w2")
+
+
+def is_out_major(name):
+    return name.endswith(OUT_MAJOR)
+
+
+def out_major_copy(params):
+    """The same tensor values with the projection matrices stored out-major."""
+    return ConverterParams(params.cfg, {n: np.asfortranarray(a) if is_out_major(n) else a.copy()
+                                        for n, a in params.tensors.items()})
+
+
+# Large enough that the model's bytes dwarf the checkpoint header's python
+# objects under tracemalloc, small enough to build in milliseconds.
+MEDIUM = ConverterConfig(d_latent=32, d_cond=16, d_spk=8, d_model=64, n_layers=3, n_heads=4, d_head=16)
+
+
+def traced_peak(fn, *args):
+    """(result or raised exception, peak bytes traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of the checkpoint at `path`, in place."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
 
 
 def tiny_inputs(seed, t_s=5, t_c=3):
@@ -330,6 +378,52 @@ class TestForwardProperties:
                 c1 += 0.5
             z = r.standard_normal((int(r.integers(1, 6)), cfg.d_latent))
             assert np.array_equal(conv(z, c, g), forward(params, z, c, g))
+
+
+class TestStorageLayout:
+    def check_layout(self, params):
+        for name, t in params.tensors.items():
+            if is_out_major(name):
+                assert t.T.flags.c_contiguous and not t.flags.c_contiguous, name
+            else:
+                assert t.flags.c_contiguous, name
+
+    def test_init_params_layout(self, tiny_cfg):
+        self.check_layout(init_params(tiny_cfg, seed=0))
+
+    def test_load_params_layout_and_values(self, tiny_params, tmp_path):
+        p = tmp_path / "m.lvc"
+        save_params(p, tiny_params)
+        loaded = load_params(p)
+        self.check_layout(loaded)
+        for name, t in tiny_params.tensors.items():
+            assert loaded.tensors[name].shape == t.shape
+            assert np.array_equal(loaded.tensors[name], t), name
+
+    def test_make_converter_copies_no_weights(self):
+        params = init_params(MEDIUM, seed=0)
+        nbytes = sum(t.nbytes for t in params.tensors.values())
+        conv, peak = traced_peak(make_converter, params)
+        assert callable(conv)
+        assert peak < 0.05 * nbytes
+
+    def test_load_holds_one_copy(self, tmp_path):
+        params = init_params(MEDIUM, seed=0)
+        nbytes = sum(t.nbytes for t in params.tensors.values())
+        p = tmp_path / "m.lvc"
+        save_params(p, params)
+        loaded, peak = traced_peak(load_params, p)
+        assert isinstance(loaded, ConverterParams)
+        assert peak < 1.1 * nbytes
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs, t_s=st.integers(1, 5), t_c=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_output_independent_of_storage_order(self, cfg, t_s, t_c, seed):
+        params = random_params(cfg, seed)
+        z, c, g = random_inputs(cfg, np.random.default_rng(seed), t_s, t_c)
+        row_major = make_converter(params)(z, c, g)
+        assert np.array_equal(make_converter(out_major_copy(params))(z, c, g), row_major)
+        assert np.array_equal(forward(out_major_copy(params), z, c, g), row_major)
 
 
 class TestInitIdentity:
@@ -556,16 +650,65 @@ class TestCheckpoint:
             load_params(p)
 
     def test_version_mismatch(self, tiny_params, tmp_path):
-        import json
         p = tmp_path / "m.lvc"
         save_params(p, tiny_params)
-        raw = p.read_bytes()
-        hlen = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[16 : 16 + hlen])
-        header["format_version"] = 99
-        blob = json.dumps(header).encode()
-        p.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
+        rewrite_header(p, lambda h: h.update(format_version=99))
         with pytest.raises(CheckpointError):
+            load_params(p)
+
+    # A damaged file must be refused from its header and size alone: the
+    # traced peak stays far below the model's bytes, so no tensor was read.
+    def medium_checkpoint(self, tmp_path):
+        params = init_params(MEDIUM, seed=0)
+        p = tmp_path / "m.lvc"
+        save_params(p, params)
+        return p, sum(t.nbytes for t in params.tensors.values())
+
+    def assert_refused_unread(self, p, nbytes):
+        err, peak = traced_peak(load_params, p)
+        assert isinstance(err, CheckpointError), repr(err)
+        assert peak < 0.1 * nbytes
+
+    def test_header_length_past_eof(self, tmp_path):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        raw = bytearray(p.read_bytes())
+        raw[8:16] = (2**62).to_bytes(8, "little")
+        p.write_bytes(bytes(raw))
+        self.assert_refused_unread(p, nbytes)
+
+    def test_manifest_offset_past_eof(self, tmp_path):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        rewrite_header(p, lambda h: h["manifest"]["src_out.b"].__setitem__(1, 2**40))
+        self.assert_refused_unread(p, nbytes)
+
+    def test_negative_manifest_offset(self, tmp_path):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        rewrite_header(p, lambda h: h["manifest"]["src_out.w"].__setitem__(1, -4))
+        self.assert_refused_unread(p, nbytes)
+
+    def test_truncated_mid_tensor(self, tmp_path):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        raw = p.read_bytes()
+        header_end = 16 + int.from_bytes(raw[8:16], "little")
+        offset = json.loads(raw[16:header_end])["manifest"]["layers.1.src.ffn.w1"][1]
+        p.write_bytes(raw[: header_end + offset + 6])
+        self.assert_refused_unread(p, nbytes)
+
+    def test_short_read_is_refused(self, tmp_path, monkeypatch):
+        # The file shrinks after its size was checked: the count readinto
+        # returns must catch it.
+        p, _ = self.medium_checkpoint(tmp_path)
+        full = p.stat().st_size
+        p.write_bytes(p.read_bytes()[: full - 1000])
+        real_fstat = os.fstat
+
+        def stale_fstat(fd):
+            st = list(real_fstat(fd))
+            st[6] = full  # st_size
+            return os.stat_result(st)
+
+        monkeypatch.setattr(os, "fstat", stale_fstat)
+        with pytest.raises(CheckpointError, match="short read"):
             load_params(p)
 
     def test_cfg_structural_mismatch(self, tiny_params, tmp_path):
