@@ -20,7 +20,7 @@ import numpy as np
 from .audio_io import read_wav, write_wav
 from .dataprep import RoleMode, RoleProbs, sample_mode, synth_pair
 from .errors import AudioFormatError, CheckpointError, NonFiniteError
-from .features import mel_spectrogram, speaker_embedding
+from .features import mel_spectrogram, speaker_embedding_from_mel
 from .pipeline import ConvertRequest, bench, convert_offline, convert_streaming
 from .streaming import StreamConfig
 from .trainer import loss_breakdown
@@ -94,7 +94,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_features(args: argparse.Namespace) -> int:
     w = read_wav(args.source)
     mel = mel_spectrogram(w)
-    spk = speaker_embedding(w, seed=args.seed)
+    spk = speaker_embedding_from_mel(mel, seed=args.seed)
     base = Path(args.output)
     base.parent.mkdir(parents=True, exist_ok=True)
     Path(f"{base}.mel.f32").write_bytes(np.ascontiguousarray(mel, dtype="<f4").tobytes())

@@ -31,7 +31,8 @@ refuses concurrent or reentrant calls.
 The blocks multiply feature-major activations by (out, in) matrices. The
 projection matrices are therefore stored out-major (Fortran order): their
 transpose is C-contiguous, so the hot path multiplies with views and the
-process holds one copy of the weights.
+process holds one copy of the weights. Checkpoints (format 2) store them in
+the same order, so loading reads each tensor straight into its final array.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ import numpy as np
 from .errors import CheckpointError, NonFiniteError
 
 CHECKPOINT_MAGIC = b"LVCPRM01"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 LN_EPS = 1e-5
 
 # (z, c, g) -> converted z; what the streaming engine consumes.
@@ -571,8 +572,11 @@ def save_params(path: str | Path, params: ConverterParams) -> None:
     """Write magic, uint64 header length, JSON header, then float32 LE blobs.
 
     The header carries the format version, the config, and a tensor manifest
-    mapping name -> [shape, byte offset into the blob section]. Blobs follow
-    in manifest order.
+    mapping name -> [(in, out) shape, byte offset into the blob section].
+    Blobs follow in manifest order, each in the storage order of
+    `tensor_shapes`: an out-major projection matrix is written as the
+    row-major bytes of its (out, in) transpose, every other tensor as the
+    row-major bytes of its shape.
     """
     shapes = tensor_shapes(params.cfg)
     manifest: dict[str, list] = {}
@@ -591,13 +595,15 @@ def save_params(path: str | Path, params: ConverterParams) -> None:
         f.write(len(header_bytes).to_bytes(8, "little"))
         f.write(header_bytes)
         for name in shapes:
-            f.write(np.ascontiguousarray(params.tensors[name], dtype="<f4").tobytes())
+            t = params.tensors[name]
+            f.write(np.ascontiguousarray(t.T if _storage_order(name) == "F" else t, dtype="<f4"))
 
 
-# Rows per read of an out-major matrix from a checkpoint. Each block is
-# transposed into place from a small staging buffer; at the default model
-# that is 4x faster than transposing whole matrices (512 x 2048 float32:
-# 1.3 ms against 5.3 ms).
+# Rows per read of an out-major matrix from a format-1 checkpoint, which
+# stores it row-major in its (in, out) shape. Each block is transposed into
+# place from a small staging buffer; at the default model that is 4x faster
+# than transposing whole matrices (512 x 2048 float32: 1.3 ms against
+# 5.3 ms). Format 2 needs no transpose.
 _LOAD_ROWS = 32
 
 
@@ -614,10 +620,12 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
     stored ones.
 
     The header and the whole manifest are checked against the file size
-    before any tensor is read. Tensors are then read one at a time, straight
-    into the storage order `tensor_shapes` describes; out-major matrices go
-    through one small staging buffer, so loading never holds a second copy
-    of the model.
+    before any tensor is read. Tensors are then read one at a time into the
+    storage order `tensor_shapes` describes, so loading never holds a second
+    copy of the model. Format 2 stores every blob in that order and each
+    tensor is one read into its final array. Format 1 stores the out-major
+    matrices row-major in their (in, out) shape; they go through one small
+    staging buffer and are transposed into place.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -632,10 +640,11 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
             header = json.loads(f.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: version mismatch (file {header.get('format_version')}, supported {CHECKPOINT_VERSION})"
-            )
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: unreadable header (not a JSON object)")
+        version = header.get("format_version")
+        if version not in (1, CHECKPOINT_VERSION):
+            raise CheckpointError(f"{path}: version mismatch (file {version}, supported 1 and {CHECKPOINT_VERSION})")
         try:
             file_cfg = ConverterConfig(**header["config"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -653,8 +662,8 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
             )
 
         shapes = tensor_shapes(file_cfg)
-        manifest = header.get("manifest", {})
-        if set(manifest) != set(shapes):
+        manifest = header.get("manifest")
+        if not isinstance(manifest, dict) or set(manifest) != set(shapes):
             raise CheckpointError(f"{path}: manifest does not list the expected tensors")
         spans = []
         for name, shape in shapes.items():
@@ -670,13 +679,17 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
                 raise CheckpointError(f"{path}: truncated file (tensor {name} extends past EOF)")
             spans.append((name, shape, start))
 
-        staging = np.empty(_LOAD_ROWS * max(s[1] for n, s in shapes.items() if _storage_order(n) == "F"), "<f4")
+        if version == 1:
+            staging = np.empty(_LOAD_ROWS * max(s[1] for n, s in shapes.items() if _storage_order(n) == "F"), "<f4")
         tensors: dict[str, np.ndarray] = {}
         for name, shape, start in spans:
-            t = np.empty(shape, "<f4", order=_storage_order(name))
+            order = _storage_order(name)
+            t = np.empty(shape, "<f4", order=order)
             f.seek(start)
-            if t.flags.c_contiguous:
+            if order == "C":
                 _read_exact(f, t, path, name)
+            elif version == 2:
+                _read_exact(f, t.T, path, name)
             else:
                 for i in range(0, shape[0], _LOAD_ROWS):
                     rows = t[i : i + _LOAD_ROWS]

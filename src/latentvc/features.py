@@ -106,7 +106,12 @@ def speaker_embedding(w: Waveform, seed: int = DEFAULT_SEED) -> np.ndarray:
     applies the seeded projection, and L2-normalizes. Deterministic for a
     given (input, seed).
     """
-    mel = mel_spectrogram(w)
+    return speaker_embedding_from_mel(mel_spectrogram(w), seed)
+
+
+def speaker_embedding_from_mel(mel: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """`speaker_embedding` of the waveform whose log-mel is `mel`, for callers
+    that already hold it."""
     pooled = np.concatenate([mel.mean(axis=0), mel.std(axis=0)])
     raw = speaker_projection(seed) @ pooled
     norm = np.linalg.norm(raw)

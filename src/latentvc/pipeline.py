@@ -30,7 +30,7 @@ from .converter import (
     load_params,
     make_converter,
 )
-from .features import mel_spectrogram, speaker_embedding
+from .features import mel_spectrogram, speaker_embedding_from_mel
 from .streaming import LatencyReport, StreamConfig, build_report, stream_run
 
 
@@ -79,7 +79,7 @@ def offline_run(
         raise ValueError("source must contain at least one sample")
     wall_start = time.perf_counter()
     c = mel_spectrogram(reference)
-    g = speaker_embedding(reference)
+    g = speaker_embedding_from_mel(c)
     padded = slice_pad(source, 0, math.ceil(n / codec.hop) * codec.hop)
     z = codec.encode(padded)
     y = codec.decode(converter(z, c, g))

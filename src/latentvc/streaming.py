@@ -24,7 +24,7 @@ from .audio_io import SAMPLE_RATE, Waveform, slice_pad
 from .codec import CodecInterface
 from .converter import ConverterFn
 from .errors import NonFiniteError
-from .features import mel_spectrogram, speaker_embedding
+from .features import mel_spectrogram, speaker_embedding_from_mel
 
 CODEC_HOP = 256
 
@@ -202,10 +202,8 @@ class StreamState:
 
 def init_stream(reference: Waveform, seed: int = 0) -> StreamState:
     """Precompute the conditioning features from the reference once."""
-    return StreamState(
-        cond_mel=mel_spectrogram(reference),
-        spk=speaker_embedding(reference, seed=seed),
-    )
+    mel = mel_spectrogram(reference)
+    return StreamState(cond_mel=mel, spk=speaker_embedding_from_mel(mel, seed=seed))
 
 
 def stream_step(

@@ -46,11 +46,15 @@ def embedding_mse(pred_emb: np.ndarray, target_emb: np.ndarray) -> tuple[float, 
     return loss, 2.0 * diff / diff.size
 
 
-def mel_recon_loss(pred: Waveform, target: Waveform) -> tuple[float, np.ndarray]:
-    """L1 mel distance between two waveforms; gradient w.r.t. the predicted mel."""
+def _mels(pred: Waveform, target: Waveform) -> tuple[np.ndarray, np.ndarray]:
     if len(pred) != len(target):
         raise ValueError(f"waveform lengths differ: {len(pred)} vs {len(target)}")
-    return mel_l1(_features.mel_spectrogram(pred), _features.mel_spectrogram(target))
+    return _features.mel_spectrogram(pred), _features.mel_spectrogram(target)
+
+
+def mel_recon_loss(pred: Waveform, target: Waveform) -> tuple[float, np.ndarray]:
+    """L1 mel distance between two waveforms; gradient w.r.t. the predicted mel."""
+    return mel_l1(*_mels(pred, target))
 
 
 def speaker_sim_loss(pred: Waveform, target: Waveform, seed: int = 0) -> tuple[float, np.ndarray]:
@@ -92,8 +96,13 @@ def loss_breakdown(
     lambda_mel: float = 1.0,
     lambda_spk: float = 1.0,
 ) -> LossBreakdown:
-    mel, _ = mel_recon_loss(pred, target)
-    spk, _ = speaker_sim_loss(pred, target, seed=seed)
+    """Both loss terms and their weighted total, from one mel per waveform."""
+    mel_p, mel_t = _mels(pred, target)
+    mel, _ = mel_l1(mel_p, mel_t)
+    spk, _ = embedding_mse(
+        _features.speaker_embedding_from_mel(mel_p, seed=seed),
+        _features.speaker_embedding_from_mel(mel_t, seed=seed),
+    )
     return LossBreakdown(
         mel_recon=mel,
         spk_sim=spk,

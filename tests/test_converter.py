@@ -6,7 +6,8 @@ random tiny geometries. Also covers the zero-gate identity at init, the two
 architecture flags, shape and finiteness validation, the reference cache and
 single-stream guard of `make_converter`, the storage layout of the weights
 and the memory that loading and binding them takes, and the checkpoint
-container including tamper rejection before any tensor is read.
+container (formats 1 and 2) including tamper rejection before any tensor is
+read.
 """
 
 import json
@@ -203,14 +204,37 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def read_header(path):
+    """(JSON header, byte offset where the blob section starts) of a checkpoint."""
+    raw = path.read_bytes()
+    header_end = 16 + int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[16:header_end]), header_end
+
+
+def replace_header(path, header):
+    """Replace the JSON header of the checkpoint at `path` with `header`, keeping its blobs."""
+    raw = path.read_bytes()
+    header_end = 16 + int.from_bytes(raw[8:16], "little")
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[header_end:])
+
+
 def rewrite_header(path, edit):
     """Apply `edit` to the JSON header of the checkpoint at `path`, in place."""
-    raw = path.read_bytes()
-    hlen = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16 : 16 + hlen])
+    header, _ = read_header(path)
     edit(header)
-    blob = json.dumps(header).encode()
-    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
+    replace_header(path, header)
+
+
+def save_v1(path, params):
+    """Write `params` as a format-1 checkpoint: the same header at version 1,
+    with every blob row-major in its (in, out) shape."""
+    save_params(path, params)
+    rewrite_header(path, lambda h: h.update(format_version=1))
+    _, header_end = read_header(path)
+    blobs = b"".join(np.ascontiguousarray(params.tensors[n], dtype="<f4").tobytes()
+                     for n in tensor_shapes(params.cfg))
+    path.write_bytes(path.read_bytes()[:header_end] + blobs)
 
 
 def tiny_inputs(seed, t_s=5, t_c=3):
@@ -656,6 +680,41 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_params(p)
 
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_neighbouring_versions_refused(self, tiny_params, tmp_path, version):
+        p = tmp_path / "m.lvc"
+        save_params(p, tiny_params)
+        rewrite_header(p, lambda h: h.update(format_version=version))
+        with pytest.raises(CheckpointError, match="version mismatch"):
+            load_params(p)
+
+    def test_v2_blobs_are_in_storage_order(self, tmp_path):
+        params = random_tiny_params(5)
+        p = tmp_path / "m.lvc"
+        save_params(p, params)
+        header, header_end = read_header(p)
+        assert header["format_version"] == 2
+        raw = p.read_bytes()[header_end:]
+        for name, t in params.tensors.items():
+            shape, offset = header["manifest"][name]
+            assert tuple(shape) == t.shape, name
+            want = t.T.tobytes() if is_out_major(name) else t.tobytes()
+            assert raw[offset : offset + t.nbytes] == want, name
+
+    def test_v1_file_loads_like_v2(self, tmp_path):
+        params = random_tiny_params(6)
+        p1, p2 = tmp_path / "v1.lvc", tmp_path / "v2.lvc"
+        save_v1(p1, params)
+        save_params(p2, params)
+        assert read_header(p1)[0]["format_version"] == 1
+        v1, v2 = load_params(p1), load_params(p2)
+        assert v1.cfg == v2.cfg == params.cfg
+        TestStorageLayout().check_layout(v1)
+        for name, t in params.tensors.items():
+            assert np.array_equal(v1.tensors[name], t), name
+            assert np.array_equal(v2.tensors[name], t), name
+            assert v1.tensors[name].strides == v2.tensors[name].strides, name
+
     # A damaged file must be refused from its header and size alone: the
     # traced peak stays far below the model's bytes, so no tensor was read.
     def medium_checkpoint(self, tmp_path):
@@ -694,6 +753,18 @@ class TestCheckpoint:
         p.write_bytes(raw[: header_end + offset + 6])
         self.assert_refused_unread(p, nbytes)
 
+    @pytest.mark.parametrize("header", [[1, 2], None, "x", 3])
+    def test_header_not_an_object(self, tmp_path, header):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        replace_header(p, header)
+        self.assert_refused_unread(p, nbytes)
+
+    @pytest.mark.parametrize("manifest", [None, 3, ["src_in.w"]])
+    def test_manifest_not_an_object(self, tmp_path, manifest):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        rewrite_header(p, lambda h: h.update(manifest=manifest))
+        self.assert_refused_unread(p, nbytes)
+
     def test_short_read_is_refused(self, tmp_path, monkeypatch):
         # The file shrinks after its size was checked: the count readinto
         # returns must catch it.
@@ -709,6 +780,26 @@ class TestCheckpoint:
 
         monkeypatch.setattr(os, "fstat", stale_fstat)
         with pytest.raises(CheckpointError, match="short read"):
+            load_params(p)
+
+    def test_v1_cut_mid_tensor_is_refused(self, tmp_path, monkeypatch):
+        # Format 1 reads out-major matrices through the staging buffer:
+        # a cut inside one is refused from the size check, and a file that
+        # shrinks after it by the staging read's count check.
+        params = init_params(MEDIUM, seed=0)
+        nbytes = sum(t.nbytes for t in params.tensors.values())
+        p = tmp_path / "m.lvc"
+        save_v1(p, params)
+        loaded, peak = traced_peak(load_params, p)
+        assert isinstance(loaded, ConverterParams) and peak < 1.1 * nbytes
+        header, header_end = read_header(p)
+        full = p.stat().st_size
+        p.write_bytes(p.read_bytes()[: header_end + header["manifest"]["layers.1.src.ffn.w1"][1] + 4096])
+        self.assert_refused_unread(p, nbytes)
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            [*real_fstat(fd)[:6], full, *real_fstat(fd)[7:]]))
+        with pytest.raises(CheckpointError, match="short read in tensor layers.1.src.ffn.w1"):
             load_params(p)
 
     def test_cfg_structural_mismatch(self, tiny_params, tmp_path):

@@ -21,6 +21,8 @@ from latentvc import (
     crossfade,
     crossfade_weights,
     init_stream,
+    mel_spectrogram,
+    speaker_embedding,
     stream_run,
     stream_step,
     toy_codec,
@@ -254,6 +256,9 @@ class TestInitStream:
         assert state.spk.shape == (192,)
         assert np.linalg.norm(state.spk) == pytest.approx(1.0)
         assert state.k == 0
+        assert np.array_equal(state.cond_mel, mel_spectrogram(short_wave))
+        assert np.array_equal(state.spk, speaker_embedding(short_wave))
+        assert np.array_equal(init_stream(short_wave, seed=3).spk, speaker_embedding(short_wave, seed=3))
 
 
 class TestLatencyReport:

@@ -137,6 +137,9 @@ class TestLossBreakdown:
         other = make_wave(len(short_wave), seed=95)
         lb = loss_breakdown(short_wave, other, lambda_mel=2.0, lambda_spk=0.5)
         assert lb.total == pytest.approx(2.0 * lb.mel_recon + 0.5 * lb.spk_sim, abs=1e-12)
+        assert lb.mel_recon == mel_recon_loss(short_wave, other)[0]
+        assert lb.spk_sim == speaker_sim_loss(short_wave, other)[0]
+        assert loss_breakdown(short_wave, other, seed=2).spk_sim == speaker_sim_loss(short_wave, other, seed=2)[0]
 
     def test_rejects_inconsistent_total(self):
         with pytest.raises(ValueError):
