@@ -60,12 +60,11 @@ def _stream_cfg(args: argparse.Namespace) -> StreamConfig:
     )
 
 
-def _request(args: argparse.Namespace, mode: str, cfg: StreamConfig | None = None) -> ConvertRequest:
+def _request(args: argparse.Namespace, cfg: StreamConfig | None = None) -> ConvertRequest:
     return ConvertRequest(
         source_path=args.source,
         reference_path=args.reference,
         output_path=args.output,
-        mode=mode,
         stream_cfg=cfg if cfg is not None else StreamConfig(),
         checkpoint_path=args.checkpoint,
         seed=args.seed,
@@ -74,19 +73,19 @@ def _request(args: argparse.Namespace, mode: str, cfg: StreamConfig | None = Non
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    out, rtf = convert_offline(_request(args, "offline"))
+    out, rtf = convert_offline(_request(args))
     _emit({"rtf": rtf, "duration_s": out.duration_s, "output": args.output}, args.report)
     return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    _, report = convert_streaming(_request(args, "streaming", _stream_cfg(args)))
+    _, report = convert_streaming(_request(args, _stream_cfg(args)))
     _emit(report.to_dict(), args.report)
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    _, report = bench(_request(args, "streaming", _stream_cfg(args)), repeats=args.repeats)
+    _, report = bench(_request(args, _stream_cfg(args)), repeats=args.repeats)
     _emit(report.to_dict(), args.report)
     return 0
 

@@ -32,13 +32,16 @@ The blocks multiply feature-major activations by (out, in) matrices. The
 projection matrices are therefore stored out-major (Fortran order): their
 transpose is C-contiguous, so the hot path multiplies with views and the
 process holds one copy of the weights. Checkpoints (format 2) store them in
-the same order, so loading reads each tensor straight into its final array.
+the same order, so a loaded model's weights are read-only views of the
+mapped file.
 """
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -51,6 +54,8 @@ from .errors import CheckpointError, NonFiniteError
 CHECKPOINT_MAGIC = b"LVCPRM01"
 CHECKPOINT_VERSION = 2
 LN_EPS = 1e-5
+# Page the whole checkpoint in when it is mapped, so no chunk pays for it.
+_MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
 
 # (z, c, g) -> converted z; what the streaming engine consumes.
 ConverterFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -106,7 +111,7 @@ def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
 
     Linear weights have shape (in, out) and are applied as ``x @ w + b``. This
     map is the single source of truth for init, save, and load. Shape is not
-    storage order: `init_params` and `load_params` allocate the projection
+    storage order: `init_params` and `load_params` lay out the projection
     matrices (`src_in.w`, `cond_in.w`, `src_out.w`, and each block's `qkv.w`,
     `attn_out.w`, `ffn.w1`, `ffn.w2`) out-major, i.e. in Fortran order, and
     everything else row-major.
@@ -568,15 +573,43 @@ def identity_converter(z: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarra
     return z
 
 
+# The blob section of a saved checkpoint starts on this boundary, so every
+# tensor of the mapped file is aligned for its dtype.
+_BLOB_ALIGN = 64
+
+
+@contextmanager
+def _replacing(path: str | Path):
+    """Open a new file beside `path` for writing and, when the block
+    succeeds, rename it over `path`. A process that has mapped the old file
+    keeps its data, where an in-place rewrite would change the pages under
+    the map or truncate them (SIGBUS); a failed save leaves `path` as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_params(path: str | Path, params: ConverterParams) -> None:
     """Write magic, uint64 header length, JSON header, then float32 LE blobs.
 
     The header carries the format version, the config, and a tensor manifest
     mapping name -> [(in, out) shape, byte offset into the blob section].
-    Blobs follow in manifest order, each in the storage order of
-    `tensor_shapes`: an out-major projection matrix is written as the
+    Blobs follow back to back in manifest order, each in the storage order
+    of `tensor_shapes`: an out-major projection matrix is written as the
     row-major bytes of its (out, in) transpose, every other tensor as the
-    row-major bytes of its shape.
+    row-major bytes of its shape. Trailing spaces pad the header so that the
+    blob section starts on a 64-byte boundary. The file at `path` is
+    replaced by a new one, never rewritten in place.
     """
     shapes = tensor_shapes(params.cfg)
     manifest: dict[str, list] = {}
@@ -590,7 +623,8 @@ def save_params(path: str | Path, params: ConverterParams) -> None:
         "manifest": manifest,
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
+    header_bytes += b" " * (-(16 + len(header_bytes)) % _BLOB_ALIGN)
+    with _replacing(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(len(header_bytes).to_bytes(8, "little"))
         f.write(header_bytes)
@@ -599,33 +633,32 @@ def save_params(path: str | Path, params: ConverterParams) -> None:
             f.write(np.ascontiguousarray(t.T if _storage_order(name) == "F" else t, dtype="<f4"))
 
 
-# Rows per read of an out-major matrix from a format-1 checkpoint, which
-# stores it row-major in its (in, out) shape. Each block is transposed into
-# place from a small staging buffer; at the default model that is 4x faster
-# than transposing whole matrices (512 x 2048 float32: 1.3 ms against
-# 5.3 ms). Format 2 needs no transpose.
+# Rows per block when a format-1 checkpoint's out-major matrix, stored
+# row-major in its (in, out) shape, is transposed into place; at the default
+# model that is 4x faster than transposing whole matrices (512 x 2048
+# float32: 1.3 ms against 5.3 ms).
 _LOAD_ROWS = 32
 
 
-def _read_exact(f, buf: np.ndarray, path, name: str) -> None:
-    if f.readinto(buf) != buf.nbytes:
-        raise CheckpointError(f"{path}: truncated file (short read in tensor {name})")
-
-
 def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> ConverterParams:
-    """Load a checkpoint; validate magic, version, shapes, and total size.
+    """Load a checkpoint; validate magic, version, shapes, offsets and size.
 
     If `cfg` is given, its structural fields must match the file and its
     runtime flags (the two ablation switches) take precedence over the
     stored ones.
 
     The header and the whole manifest are checked against the file size
-    before any tensor is read. Tensors are then read one at a time into the
-    storage order `tensor_shapes` describes, so loading never holds a second
-    copy of the model. Format 2 stores every blob in that order and each
-    tensor is one read into its final array. Format 1 stores the out-major
-    matrices row-major in their (in, out) shape; they go through one small
-    staging buffer and are transposed into place.
+    before any tensor is touched: each offset must be the one `save_params`
+    writes, the sum of the sizes of the tensors before it. The file is then
+    mapped read-only, and each format-2 tensor is a zero-copy, read-only
+    view of the map in its storage order: processes that load the same file
+    share its pages, and the process holds no copy of its own. A tensor
+    that is not 4-byte aligned in the file is copied, as are format-1
+    out-major matrices, which are stored row-major in their (in, out) shape
+    and are transposed into place. Every returned array is read-only.
+    Replace a loaded file, as `save_params` does, rather than rewrite it in
+    place: an in-place rewrite changes or faults the weights of every
+    process that has it mapped.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -666,35 +699,42 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
         if not isinstance(manifest, dict) or set(manifest) != set(shapes):
             raise CheckpointError(f"{path}: manifest does not list the expected tensors")
         spans = []
+        offset = 0
         for name, shape in shapes.items():
             try:
                 m_shape, m_offset = manifest[name]
-                m_shape, m_offset = tuple(m_shape), int(m_offset)
+                m_shape = tuple(m_shape)
             except (TypeError, ValueError) as exc:
                 raise CheckpointError(f"{path}: malformed manifest entry for {name} ({exc})") from exc
             if m_shape != shape:
                 raise CheckpointError(f"{path}: shape mismatch for {name} (file {list(m_shape)}, expected {list(shape)})")
-            start = header_end + m_offset
-            if m_offset < 0 or start + 4 * int(np.prod(shape)) > size:
+            if type(m_offset) is not int or m_offset != offset:
+                raise CheckpointError(f"{path}: bad offset for {name} (file {m_offset!r}, expected {offset})")
+            start = header_end + offset
+            offset += 4 * int(np.prod(shape))
+            if header_end + offset > size:
                 raise CheckpointError(f"{path}: truncated file (tensor {name} extends past EOF)")
-            spans.append((name, shape, start))
+            spans.append((name, shape, start, header_end + offset))
 
-        if version == 1:
-            staging = np.empty(_LOAD_ROWS * max(s[1] for n, s in shapes.items() if _storage_order(n) == "F"), "<f4")
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape, start in spans:
-            order = _storage_order(name)
-            t = np.empty(shape, "<f4", order=order)
-            f.seek(start)
-            if order == "C":
-                _read_exact(f, t, path, name)
-            elif version == 2:
-                _read_exact(f, t.T, path, name)
-            else:
-                for i in range(0, shape[0], _LOAD_ROWS):
-                    rows = t[i : i + _LOAD_ROWS]
-                    buf = staging[: rows.size].reshape(rows.shape)
-                    _read_exact(f, buf, path, name)
-                    rows[...] = buf
-            tensors[name] = t
+        try:
+            mapped = mmap.mmap(f.fileno(), 0, flags=mmap.MAP_SHARED | _MAP_POPULATE, prot=mmap.PROT_READ)
+        except (OSError, ValueError) as exc:
+            raise CheckpointError(f"{path}: cannot map file ({exc})") from exc
+
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape, start, end in spans:
+        if end > len(mapped):
+            raise CheckpointError(f"{path}: truncated file (short read in tensor {name})")
+        order = _storage_order(name)
+        if version == 1 and order == "F":
+            t = np.empty(shape, "<f4", order="F")
+            rows = np.ndarray(shape, "<f4", buffer=mapped, offset=start)
+            for i in range(0, shape[0], _LOAD_ROWS):
+                t[i : i + _LOAD_ROWS] = rows[i : i + _LOAD_ROWS]
+        else:
+            t = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order=order)
+            if not t.flags.aligned:
+                t = t.copy(order="K")
+        t.flags.writeable = False
+        tensors[name] = t
     return ConverterParams(cfg=file_cfg, tensors=tensors)

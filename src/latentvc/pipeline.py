@@ -39,15 +39,12 @@ class ConvertRequest:
     source_path: str
     reference_path: str
     output_path: str | None = None
-    mode: str = "offline"
     stream_cfg: StreamConfig = field(default_factory=StreamConfig)
     checkpoint_path: str | None = None
     seed: int = 0
     use_identity: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in ("offline", "streaming"):
-            raise ValueError(f"mode must be 'offline' or 'streaming', got {self.mode!r}")
         if self.output_path is not None and self.output_path in (self.source_path, self.reference_path):
             raise ValueError("output_path must differ from the input paths")
         if self.checkpoint_path is not None and self.use_identity:

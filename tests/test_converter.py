@@ -6,8 +6,8 @@ random tiny geometries. Also covers the zero-gate identity at init, the two
 architecture flags, shape and finiteness validation, the reference cache and
 single-stream guard of `make_converter`, the storage layout of the weights
 and the memory that loading and binding them takes, and the checkpoint
-container (formats 1 and 2) including tamper rejection before any tensor is
-read.
+container (formats 1 and 2): read-only mapped weights, saves that replace
+the file, and tamper rejection before any tensor is read.
 """
 
 import json
@@ -40,6 +40,8 @@ from latentvc import (
     speaker_modulations,
     tensor_shapes,
 )
+
+from latentvc.converter import _replacing
 
 from conftest import TINY
 
@@ -211,16 +213,24 @@ def read_header(path):
     return json.loads(raw[16:header_end]), header_end
 
 
-def replace_header(path, header):
-    """Replace the JSON header of the checkpoint at `path` with `header`, keeping its blobs."""
+def replace_file(path, data):
+    """Write `data` as the file at `path` the way `save_params` does: a new
+    file renamed over the old one, so no earlier load's map is rewritten."""
+    with _replacing(path) as f:
+        f.write(data)
+
+
+def replace_header(path, header, pad=0):
+    """Replace the JSON header of the checkpoint at `path` with `header`
+    followed by `pad` spaces, keeping its blobs."""
     raw = path.read_bytes()
     header_end = 16 + int.from_bytes(raw[8:16], "little")
-    blob = json.dumps(header).encode()
-    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[header_end:])
+    blob = json.dumps(header).encode() + b" " * pad
+    replace_file(path, raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[header_end:])
 
 
 def rewrite_header(path, edit):
-    """Apply `edit` to the JSON header of the checkpoint at `path`, in place."""
+    """Apply `edit` to the JSON header of the checkpoint at `path`."""
     header, _ = read_header(path)
     edit(header)
     replace_header(path, header)
@@ -234,7 +244,15 @@ def save_v1(path, params):
     _, header_end = read_header(path)
     blobs = b"".join(np.ascontiguousarray(params.tensors[n], dtype="<f4").tobytes()
                      for n in tensor_shapes(params.cfg))
-    path.write_bytes(path.read_bytes()[:header_end] + blobs)
+    replace_file(path, path.read_bytes()[:header_end] + blobs)
+
+
+def save_unaligned(path, params):
+    """Write `params` as a format-2 checkpoint whose unpadded header puts the
+    blob section one byte past the 4-byte grid, as older code could."""
+    save_params(path, params)
+    header, _ = read_header(path)
+    replace_header(path, header, pad=(1 - 16 - len(json.dumps(header).encode())) % 4)
 
 
 def tiny_inputs(seed, t_s=5, t_c=3):
@@ -432,13 +450,34 @@ class TestStorageLayout:
         assert peak < 0.05 * nbytes
 
     def test_load_holds_one_copy(self, tmp_path):
+        # The weights are views of the mapped file: the process allocates
+        # no copy of its own.
         params = init_params(MEDIUM, seed=0)
         nbytes = sum(t.nbytes for t in params.tensors.values())
         p = tmp_path / "m.lvc"
         save_params(p, params)
         loaded, peak = traced_peak(load_params, p)
         assert isinstance(loaded, ConverterParams)
-        assert peak < 1.1 * nbytes
+        assert peak < 0.05 * nbytes
+
+    @pytest.mark.parametrize("write", [save_params, save_unaligned, save_v1], ids=["v2", "v2-unaligned", "v1"])
+    def test_loaded_weights_are_read_only(self, tmp_path, write):
+        p = tmp_path / "m.lvc"
+        write(p, random_tiny_params(4))
+        loaded = load_params(p)
+        self.check_layout(loaded)
+        for t in loaded.tensors.values():
+            with pytest.raises(ValueError, match="read-only"):
+                t[...] = 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs, t_s=st.integers(1, 5), t_c=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_loaded_converter_is_bitwise_the_saved_one(self, tmp_path_factory, cfg, t_s, t_c, seed):
+        params = random_params(cfg, seed)
+        p = tmp_path_factory.mktemp("ckpt") / "m.lvc"
+        save_params(p, params)
+        z, c, g = random_inputs(cfg, np.random.default_rng(seed), t_s, t_c)
+        assert np.array_equal(make_converter(load_params(p))(z, c, g), make_converter(params)(z, c, g))
 
     @settings(max_examples=25, deadline=None)
     @given(cfg=tiny_configs, t_s=st.integers(1, 5), t_c=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
@@ -715,6 +754,48 @@ class TestCheckpoint:
             assert np.array_equal(v2.tensors[name], t), name
             assert v1.tensors[name].strides == v2.tensors[name].strides, name
 
+    def test_unaligned_file_loads_bitwise(self, tmp_path):
+        params = random_tiny_params(10)
+        p = tmp_path / "m.lvc"
+        save_params(p, params)
+        assert read_header(p)[1] % 64 == 0
+        save_unaligned(p, params)
+        assert read_header(p)[1] % 4 == 1
+        loaded = load_params(p)
+        for name, t in params.tensors.items():
+            assert loaded.tensors[name].flags.aligned, name
+            assert np.array_equal(loaded.tensors[name], t), name
+        z, c, g = tiny_inputs(10)
+        assert np.array_equal(make_converter(loaded)(z, c, g), make_converter(params)(z, c, g))
+
+    def test_saving_over_a_loaded_file_keeps_its_weights(self, tmp_path):
+        p = tmp_path / "m.lvc"
+        save_params(p, random_tiny_params(7))
+        loaded = load_params(p)
+        conv = make_converter(loaded)
+        z, c, g = tiny_inputs(7)
+        before = {n: t.copy() for n, t in loaded.tensors.items()}
+        out = conv(z, c, g)
+        save_params(p, loaded)  # the mapped weights, saved over their own file
+        save_params(p, random_tiny_params(8))
+        for name, t in loaded.tensors.items():
+            assert np.array_equal(t, before[name]), name
+        assert np.array_equal(conv(z, c, g), out)
+        assert np.array_equal(forward(loaded, z, c, g), out)
+        assert not np.array_equal(load_params(p).tensors["src_in.w"], before["src_in.w"])
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        params = random_tiny_params(9)
+        p = tmp_path / "m.lvc"
+        save_params(p, params)
+        old = p.read_bytes()
+        broken = ConverterParams(params.cfg, {n: t for n, t in params.tensors.items() if n != "src_out.b"})
+        with pytest.raises(KeyError):
+            save_params(p, broken)
+        assert p.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [p]
+
     # A damaged file must be refused from its header and size alone: the
     # traced peak stays far below the model's bytes, so no tensor was read.
     def medium_checkpoint(self, tmp_path):
@@ -743,6 +824,20 @@ class TestCheckpoint:
     def test_negative_manifest_offset(self, tmp_path):
         p, nbytes = self.medium_checkpoint(tmp_path)
         rewrite_header(p, lambda h: h["manifest"]["src_out.w"].__setitem__(1, -4))
+        self.assert_refused_unread(p, nbytes)
+
+    # Offsets must be the back-to-back ones save_params writes: a float, a
+    # bool, a moved blob or one aliasing another tensor is refused.
+    @pytest.mark.parametrize("name, offset", [
+        ("src_in.b", lambda o: o + 1.5),
+        ("src_in.b", lambda o: o + 4),
+        ("src_in.b", lambda o: 0),
+        ("src_in.w", lambda o: 0.0),
+        ("src_in.w", lambda o: False),
+    ], ids=["float", "moved", "aliased", "float-zero", "bool"])
+    def test_manifest_offset_off_the_layout(self, tmp_path, name, offset):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        rewrite_header(p, lambda h: h["manifest"][name].__setitem__(1, offset(h["manifest"][name][1])))
         self.assert_refused_unread(p, nbytes)
 
     def test_truncated_mid_tensor(self, tmp_path):

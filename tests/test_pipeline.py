@@ -51,12 +51,7 @@ def wav_pair(tmp_path):
 class TestConvertRequest:
     def test_accepts_defaults(self):
         req = ConvertRequest(source_path="a.wav", reference_path="b.wav")
-        assert req.mode == "offline"
         assert req.output_path is None
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            ConvertRequest(source_path="a.wav", reference_path="b.wav", mode="batch")
 
     def test_rejects_output_colliding_with_source(self):
         with pytest.raises(ValueError, match="differ"):
@@ -125,14 +120,14 @@ class TestConvertStreaming:
         src, ref = wav_pair
         out_path = str(tmp_path / "out.wav")
         req = ConvertRequest(source_path=src, reference_path=ref, output_path=out_path,
-                             mode="streaming", stream_cfg=SMALL_STREAM, use_identity=True)
+                             stream_cfg=SMALL_STREAM, use_identity=True)
         out, report = convert_streaming(req)
         assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
         assert len(out) == 8000
 
     def test_report_geometry_and_chunk_count(self, wav_pair):
         src, ref = wav_pair
-        req = ConvertRequest(source_path=src, reference_path=ref, mode="streaming",
+        req = ConvertRequest(source_path=src, reference_path=ref,
                              stream_cfg=SMALL_STREAM, use_identity=True)
         _, report = convert_streaming(req)
         assert report.chunk_count == math.ceil(8000 / SMALL_STREAM.current_samples)
@@ -144,7 +139,7 @@ class TestConvertStreaming:
 class TestBench:
     def test_pools_timings_across_repeats(self, wav_pair):
         src, ref = wav_pair
-        req = ConvertRequest(source_path=src, reference_path=ref, mode="streaming",
+        req = ConvertRequest(source_path=src, reference_path=ref,
                              stream_cfg=SMALL_STREAM, use_identity=True)
         steps = math.ceil(8000 / SMALL_STREAM.current_samples)
         _, report = bench(req, repeats=2)
@@ -152,7 +147,7 @@ class TestBench:
 
     def test_audio_matches_single_run(self, wav_pair):
         src, ref = wav_pair
-        req = ConvertRequest(source_path=src, reference_path=ref, mode="streaming",
+        req = ConvertRequest(source_path=src, reference_path=ref,
                              stream_cfg=SMALL_STREAM, use_identity=True)
         single, _ = convert_streaming(req)
         benched, _ = bench(req, repeats=2)
