@@ -68,11 +68,12 @@ def read_wav(path: str | Path) -> Waveform:
     return Waveform(pcm.astype(np.float64) / _PCM_SCALE, rate)
 
 
-def write_wav(path: str | Path, w: Waveform) -> None:
+def write_wav(path: str | Path, w: Waveform) -> int:
     """Write a 16-bit PCM WAV. Out-of-range samples are clipped to [-1, 1).
 
     Round trip through `read_wav` reproduces in-range samples to within one
-    quantization step (1/32768). Clipping is logged with a sample count.
+    quantization step (1/32768). Returns the number of clipped samples,
+    which is also logged.
     """
     if w.sample_rate != SAMPLE_RATE:
         raise ValueError(f"pipeline waveforms are {SAMPLE_RATE} Hz, got {w.sample_rate}")
@@ -89,6 +90,7 @@ def write_wav(path: str | Path, w: Waveform) -> None:
             wf.writeframes(pcm.tobytes())
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
+    return clipped
 
 
 def slice_pad(w: Waveform, start: int, length: int) -> Waveform:

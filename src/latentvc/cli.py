@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,15 +73,18 @@ def _request(args: argparse.Namespace, cfg: StreamConfig | None = None) -> Conve
     )
 
 
+# `convert` and `stream` write the output here rather than in the pipeline,
+# so that the payload can carry the clip count `write_wav` returns.
 def _cmd_convert(args: argparse.Namespace) -> int:
-    out, rtf = convert_offline(_request(args))
-    _emit({"rtf": rtf, "duration_s": out.duration_s, "output": args.output}, args.report)
+    out, rtf = convert_offline(replace(_request(args), output_path=None))
+    clipped = write_wav(args.output, out)
+    _emit({"rtf": rtf, "duration_s": out.duration_s, "output": args.output, "clipped_samples": clipped}, args.report)
     return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    _, report = convert_streaming(_request(args, _stream_cfg(args)))
-    _emit(report.to_dict(), args.report)
+    out, report = convert_streaming(replace(_request(args, _stream_cfg(args)), output_path=None))
+    _emit({**report.to_dict(), "clipped_samples": write_wav(args.output, out)}, args.report)
     return 0
 
 

@@ -10,10 +10,10 @@ dependent codec can be swapped in through `CodecInterface`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .audio_io import Waveform
 from .errors import NonFiniteError
@@ -21,6 +21,19 @@ from .errors import NonFiniteError
 HOP = 256
 D_LATENT = 1024
 LATENT_SCALE = 0.0625  # keeps typical latent magnitudes O(1)
+
+
+@cache
+def _dct_basis() -> np.ndarray:
+    """B[n, k] = LATENT_SCALE * c_k * cos(pi * (n + 1/2) * k / HOP), c_0 = sqrt(1/HOP),
+    c_k = sqrt(2/HOP): frames @ B is the latent, and latent @ B.T / LATENT_SCALE**2
+    inverts it. Scaling by LATENT_SCALE, a power of two, is exact."""
+    n = np.arange(HOP)
+    b = np.cos(np.pi / HOP * np.outer(n + 0.5, n))
+    b *= np.sqrt(2.0 / HOP) * LATENT_SCALE
+    b[:, 0] *= np.sqrt(0.5)
+    b.flags.writeable = False
+    return b
 
 
 def toy_encode(w: Waveform) -> np.ndarray:
@@ -32,7 +45,7 @@ def toy_encode(w: Waveform) -> np.ndarray:
         raise ValueError(f"waveform length {n} is not a multiple of the codec hop {HOP}")
     frames = w.samples.reshape(-1, HOP)
     latent = np.zeros((frames.shape[0], D_LATENT), dtype=np.float64)
-    latent[:, :HOP] = scipy.fft.dct(frames, type=2, norm="ortho", axis=1) * LATENT_SCALE
+    np.matmul(frames, _dct_basis(), out=latent[:, :HOP])
     return latent
 
 
@@ -47,7 +60,8 @@ def toy_decode(z: np.ndarray) -> Waveform:
         raise ValueError(f"latent must be (T, {D_LATENT}), got {z.shape}")
     if not np.isfinite(z).all():
         raise NonFiniteError("latent contains NaN or Inf")
-    frames = scipy.fft.idct(z[:, :HOP] / LATENT_SCALE, type=2, norm="ortho", axis=1)
+    frames = z[:, :HOP] @ _dct_basis().T
+    frames /= LATENT_SCALE * LATENT_SCALE
     return Waveform(frames.reshape(-1))
 
 
@@ -61,4 +75,6 @@ class CodecInterface:
 
 
 def toy_codec() -> CodecInterface:
+    """The framewise codec. Each direction is one float64 product with a 256 x 256
+    orthonormal DCT-II matrix, scaled by LATENT_SCALE, built with numpy once."""
     return CodecInterface(encode=toy_encode, decode=toy_decode, hop=HOP)

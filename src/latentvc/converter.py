@@ -17,13 +17,14 @@ Two ablation switches mirror the conditioning study: `use_speaker_condition`
 no residual updates after its input projection).
 
 Only the source branch has an output head; the condition stream is discarded
-after the last block.
+after the last block, so that block's condition branch only supplies keys
+and values (condition-pre-only, as in SD3's MMDiT) and has no parameters
+for anything else.
 
 A forward pass splits into `prepare`, the work that depends only on the
-reference (c, g), and a per-chunk body over the source latents. The body
-skips work whose result is never read: the last block's condition queries,
-attention output and FFN, and with `update_cond_branch` off every condition
-query, since the frozen stream's keys and values are all prepared.
+reference (c, g), and a per-chunk body over the source latents. With
+`update_cond_branch` off the body skips every condition query, since the
+frozen stream's keys and values are all prepared.
 `make_converter` keeps the prepared state of the last reference across
 calls, so a stream pays for it once; its closure is single-stream and
 refuses concurrent or reentrant calls.
@@ -31,7 +32,7 @@ refuses concurrent or reentrant calls.
 The blocks multiply feature-major activations by (out, in) matrices. The
 projection matrices are therefore stored out-major (Fortran order): their
 transpose is C-contiguous, so the hot path multiplies with views and the
-process holds one copy of the weights. Checkpoints (format 2) store them in
+process holds one copy of the weights. Checkpoints (format 3) store them in
 the same order, so a loaded model's weights are read-only views of the
 mapped file.
 """
@@ -52,7 +53,7 @@ import numpy as np
 from .errors import CheckpointError, NonFiniteError
 
 CHECKPOINT_MAGIC = b"LVCPRM01"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 LN_EPS = 1e-5
 # Page the whole checkpoint in when it is mapped, so no chunk pays for it.
 _MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
@@ -106,8 +107,8 @@ def _storage_order(name: str) -> str:
 _SHAPE_FIELDS = ("d_latent", "d_cond", "d_spk", "d_model", "n_layers", "n_heads", "d_head", "ffn_ratio")
 
 
-def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
-    """Ordered name -> shape map for every parameter tensor.
+def tensor_shapes(cfg: ConverterConfig, version: int = CHECKPOINT_VERSION) -> dict[str, tuple[int, ...]]:
+    """Ordered name -> shape map for every parameter tensor of checkpoint format `version`.
 
     Linear weights have shape (in, out) and are applied as ``x @ w + b``. This
     map is the single source of truth for init, save, and load. Shape is not
@@ -115,6 +116,10 @@ def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
     matrices (`src_in.w`, `cond_in.w`, `src_out.w`, and each block's `qkv.w`,
     `attn_out.w`, `ffn.w1`, `ffn.w2`) out-major, i.e. in Fortran order, and
     everything else row-major.
+
+    Format 3 keeps of the last condition block only the key and value columns
+    of `qkv.*` and the (s1, b1) columns of `adaln.w2`/`b2`; formats 1 and 2
+    hold the whole block.
     """
     d, s = cfg.d_model, {}
     s["src_in.w"] = (cfg.d_latent, d)
@@ -124,12 +129,16 @@ def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
     for i in range(cfg.n_layers):
         for br in ("src", "cond"):
             p = f"layers.{i}.{br}."
+            pre_only = version >= 3 and br == "cond" and i == cfg.n_layers - 1
+            n_mod, n_proj = (2, 2) if pre_only else (6, 3)
             s[p + "adaln.w1"] = (cfg.d_spk, d)
             s[p + "adaln.b1"] = (d,)
-            s[p + "adaln.w2"] = (d, 6 * d)
-            s[p + "adaln.b2"] = (6 * d,)
-            s[p + "qkv.w"] = (d, 3 * d)
-            s[p + "qkv.b"] = (3 * d,)
+            s[p + "adaln.w2"] = (d, n_mod * d)
+            s[p + "adaln.b2"] = (n_mod * d,)
+            s[p + "qkv.w"] = (d, n_proj * d)
+            s[p + "qkv.b"] = (n_proj * d,)
+            if pre_only:
+                continue
             s[p + "attn_out.w"] = (d, d)
             s[p + "attn_out.b"] = (d,)
             s[p + "ffn.w1"] = (d, cfg.d_ffn)
@@ -151,22 +160,34 @@ def param_count(params: ConverterParams) -> int:
     return sum(int(t.size) for t in params.tensors.values())
 
 
+def _live(name: str, t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The columns of a whole-block tensor `t` that format 3 keeps as `shape`
+    (see `tensor_shapes`); `qkv.*` columns are views, `adaln.*` ones copies."""
+    if t.shape == shape:
+        return t
+    return t[..., -shape[-1] :] if ".qkv." in name else np.ascontiguousarray(t[..., : shape[-1]])
+
+
 def init_params(cfg: ConverterConfig, seed: int, dtype=np.float32) -> ConverterParams:
     """Glorot-uniform weights, zero biases, zero adaptive-norm output layers.
 
     The zeroed `adaln.w2`/`adaln.b2` make all six modulation vectors zero at
     init, so every block starts as the identity on both branches. Storage
-    order follows `tensor_shapes`.
+    order follows `tensor_shapes`. Weights are drawn for the whole last block
+    and the dead part dropped, so a seed keeps giving the values of format 2.
     """
     rng = np.random.default_rng(seed)
+    shapes = tensor_shapes(cfg)
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(cfg).items():
+    for name, full in tensor_shapes(cfg, version=2).items():
         order = _storage_order(name)
         if name.endswith(".b") or name.endswith("b1") or name.endswith("b2") or name.endswith("adaln.w2"):
-            tensors[name] = np.zeros(shape, dtype=dtype, order=order)
+            w = np.zeros(full)
         else:
-            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            tensors[name] = rng.uniform(-limit, limit, size=shape).astype(dtype, order=order)
+            limit = np.sqrt(6.0 / (full[0] + full[1]))
+            w = rng.uniform(-limit, limit, size=full)
+        if name in shapes:
+            tensors[name] = _live(name, w, shapes[name]).astype(dtype, order=order)
     return ConverterParams(cfg=cfg, tensors=tensors)
 
 
@@ -208,7 +229,8 @@ def _cached_pe(n: int, d_model: int, dtype_name: str) -> np.ndarray:
 
 
 def speaker_modulations(params: ConverterParams, g: np.ndarray) -> list[dict[str, tuple[np.ndarray, ...]]]:
-    """Per-layer, per-branch modulation tuples (s1, b1, a1, s2, b2, a2) from g.
+    """Per-layer, per-branch modulation tuples (s1, b1, a1, s2, b2, a2) from g;
+    (s1, b1) for the condition-pre-only last block.
 
     s = 1 + gamma is stored pre-added so the hot path multiplies directly;
     at init gamma = beta = alpha = 0, i.e. s = 1, no shift, closed gates.
@@ -221,8 +243,10 @@ def speaker_modulations(params: ConverterParams, g: np.ndarray) -> list[dict[str
             p = f"layers.{i}.{br}."
             h = gelu(g @ t[p + "adaln.w1"] + t[p + "adaln.b1"])
             mod = h @ t[p + "adaln.w2"] + t[p + "adaln.b2"]
-            g1, b1, a1, g2, b2, a2 = np.split(mod, 6)
-            layer[br] = (1.0 + g1, b1, a1, 1.0 + g2, b2, a2)
+            parts = np.split(mod, len(mod) // params.cfg.d_model)
+            for k in range(0, len(parts), 3):  # s1 and s2
+                parts[k] = 1.0 + parts[k]
+            layer[br] = tuple(parts)
         out.append(layer)
     return out
 
@@ -323,6 +347,7 @@ def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray) -> Prepared:
     h_cond0 += _cached_pe(T_c, d, dtype.name).T
     ln0 = _ln_fm_into(h_cond0, np.empty_like(h_cond0))
 
+    # Rows -2d: of a block's qkv are its keys and values, with or without queries.
     def cond_qkv(i: int, rows: slice) -> np.ndarray:
         pc = f"layers.{i}.cond."
         ln = ln0
@@ -336,10 +361,10 @@ def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray) -> Prepared:
 
     if cfg.update_cond_branch:
         qkv_cond0, kv_cond = cond_qkv(0, slice(None)), None
-        qkv_cond0[:d] *= _q_scale(cfg, dtype)
+        qkv_cond0[: len(qkv_cond0) - 2 * d] *= _q_scale(cfg, dtype)  # the query rows, if any
         qkv_cond0.flags.writeable = False
     else:
-        qkv_cond0, kv_cond = None, tuple(cond_qkv(i, slice(d, None)) for i in range(cfg.n_layers))
+        qkv_cond0, kv_cond = None, tuple(cond_qkv(i, slice(-2 * d, None)) for i in range(cfg.n_layers))
         for kv in kv_cond:
             kv.flags.writeable = False
     h_cond0.flags.writeable = False
@@ -407,13 +432,13 @@ def _convert(
 
     for i in range(cfg.n_layers):
         ps, pc = f"layers.{i}.src.", f"layers.{i}.cond."
-        # The condition stream is discarded after the last block, so there
-        # its queries, attention output and FFN are dead (kept for a trace).
-        cond_live = update and (i < cfg.n_layers - 1 or return_trace)
-        T_q = T if cond_live else T_s
+        # Condition tokens query, and are updated, except when frozen or in the last block.
+        T_q = T if update and i < cfg.n_layers - 1 else T_s
         if mods is not None:
             s1s, b1s, a1s, s2s, b2s, a2s = (m[:, None] for m in mods[i]["src"])
-            s1c, b1c, a1c, s2c, b2c, a2c = (m[:, None] for m in mods[i]["cond"])
+            s1c, b1c = (m[:, None] for m in mods[i]["cond"][:2])
+            if T_q == T:
+                a1c, s2c, b2c, a2c = (m[:, None] for m in mods[i]["cond"][2:])
 
         _ln_fm_into(h_src, ln_s)
         if mods is not None:
@@ -422,19 +447,20 @@ def _convert(
         np.matmul(_w(t, ps + "qkv.w"), ln_s, out=qkv[:, :T_s])
         qkv[:, :T_s] += t[ps + "qkv.b"][:, None]
         qkv[:d, :T_s] *= q_scale
+        # Condition rows of the packed buffer: q, k, v, or k, v in the last block.
+        rows = slice(3 * d - len(t[pc + "qkv.b"]), 3 * d)
         if not update:
             np.copyto(qkv[d:, T_s:], prep.kv_cond[i])
         elif i == 0:
-            np.copyto(qkv[:, T_s:], prep.qkv_cond0)
+            np.copyto(qkv[rows, T_s:], prep.qkv_cond0)
         else:
             _ln_fm_into(h_cond, ln_c)
             if mods is not None:
                 ln_c *= s1c
                 ln_c += b1c
-            rows = slice(0 if cond_live else d, 3 * d)
-            np.matmul(_w(t, pc + "qkv.w")[rows], ln_c, out=qkv[rows, T_s:])
-            qkv[rows, T_s:] += t[pc + "qkv.b"][rows, None]
-            if cond_live:
+            np.matmul(_w(t, pc + "qkv.w"), ln_c, out=qkv[rows, T_s:])
+            qkv[rows, T_s:] += t[pc + "qkv.b"][:, None]
+            if T_q == T:
                 qkv[:d, T_s:] *= q_scale
 
         # Keys on rows: scores[head, key, query]. The softmax reduces over
@@ -453,7 +479,7 @@ def _convert(
         if mods is not None:
             out_s *= a1s
         h_src += out_s
-        if cond_live:
+        if T_q == T:
             np.matmul(_w(t, pc + "attn_out.w"), attn[:, T_s:], out=out_c)
             out_c += t[pc + "attn_out.b"][:, None]
             if mods is not None:
@@ -473,7 +499,7 @@ def _convert(
         if mods is not None:
             out_s *= a2s
         h_src += out_s
-        if cond_live:
+        if T_q == T:
             _ln_fm_into(h_cond, ln_c)
             if mods is not None:
                 ln_c *= s2c
@@ -511,17 +537,16 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
 
     With `return_trace` the per-layer (h_src, h_cond) states after each block
     are returned alongside the output, including the post-projection inputs
-    as entry 0.
+    as entry 0. The last block does not update the condition stream, so its
+    entry repeats the condition state the block was given.
 
     The work splits in two: `prepare` computes what depends only on the
     reference (speaker modulations, the projected condition stream, its
     layer-0 QKV, and with the condition branch frozen every layer's
     condition keys and values), and `_convert` runs the source through the
-    blocks. Work whose result is never read is skipped: the last block's
-    condition queries, attention output and FFN (unless a trace is asked
-    for), and with the branch frozen all condition queries, so attention
-    is T_s x T. This stateless entry point redoes both halves on every
-    call; `make_converter` keeps the prepared half across calls.
+    blocks. With the branch frozen all condition queries are skipped, so
+    attention is T_s x T. This stateless entry point redoes both halves on
+    every call; `make_converter` keeps the prepared half across calls.
 
     The body keeps activations feature-major (d, T) and multiplies with the
     (out, in) transposes of the projection matrices, which are views when
@@ -650,12 +675,13 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
     The header and the whole manifest are checked against the file size
     before any tensor is touched: each offset must be the one `save_params`
     writes, the sum of the sizes of the tensors before it. The file is then
-    mapped read-only, and each format-2 tensor is a zero-copy, read-only
-    view of the map in its storage order: processes that load the same file
-    share its pages, and the process holds no copy of its own. A tensor
-    that is not 4-byte aligned in the file is copied, as are format-1
+    mapped read-only, and each format-2 or format-3 tensor is a zero-copy,
+    read-only view of the map in its storage order: processes that load the
+    same file share its pages, and the process holds no copy of its own. A
+    tensor that is not 4-byte aligned in the file is copied, as are format-1
     out-major matrices, which are stored row-major in their (in, out) shape
-    and are transposed into place. Every returned array is read-only.
+    and are transposed into place. Of the last condition block of formats 1
+    and 2 only what format 3 keeps is read. Every returned array is read-only.
     Replace a loaded file, as `save_params` does, rather than rewrite it in
     place: an in-place rewrite changes or faults the weights of every
     process that has it mapped.
@@ -676,8 +702,8 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: unreadable header (not a JSON object)")
         version = header.get("format_version")
-        if version not in (1, CHECKPOINT_VERSION):
-            raise CheckpointError(f"{path}: version mismatch (file {version}, supported 1 and {CHECKPOINT_VERSION})")
+        if version not in (1, 2, CHECKPOINT_VERSION):
+            raise CheckpointError(f"{path}: version mismatch (file {version}, supported 1 to {CHECKPOINT_VERSION})")
         try:
             file_cfg = ConverterConfig(**header["config"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -694,7 +720,7 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
                 use_speaker_condition=cfg.use_speaker_condition,
             )
 
-        shapes = tensor_shapes(file_cfg)
+        shapes = tensor_shapes(file_cfg, version)
         manifest = header.get("manifest")
         if not isinstance(manifest, dict) or set(manifest) != set(shapes):
             raise CheckpointError(f"{path}: manifest does not list the expected tensors")
@@ -721,8 +747,11 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"{path}: cannot map file ({exc})") from exc
 
+    live = tensor_shapes(file_cfg)
     tensors: dict[str, np.ndarray] = {}
     for name, shape, start, end in spans:
+        if name not in live:
+            continue
         if end > len(mapped):
             raise CheckpointError(f"{path}: truncated file (short read in tensor {name})")
         order = _storage_order(name)
@@ -735,6 +764,7 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
             t = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order=order)
             if not t.flags.aligned:
                 t = t.copy(order="K")
+        t = _live(name, t, live[name])
         t.flags.writeable = False
         tensors[name] = t
     return ConverterParams(cfg=file_cfg, tensors=tensors)

@@ -55,6 +55,9 @@ class StreamConfig:
             raise ValueError(f"current_ms must be > 0, got {self.current_ms}")
         if self.overlap_ms < 0 or self.future_ms < 0:
             raise ValueError("overlap_ms and future_ms must be >= 0")
+        if self.overlap_ms > self.current_ms:
+            # the overlap is blended into the head of the next current region
+            raise ValueError(f"overlap_ms={self.overlap_ms} exceeds current_ms={self.current_ms}")
         if self.history_ms < 0:
             raise ValueError(
                 f"window_ms={self.window_ms} too short for current+overlap+future="
@@ -114,9 +117,14 @@ class LatencyReport:
     rtf: float
     # The per-chunk (enc, convert, dec) ms samples the fields above summarise;
     # kept so that reports of repeated runs can be pooled.
-    timings: tuple[tuple[float, float, float], ...] = field(default=(), repr=False, compare=False)
+    timings: tuple[tuple[float, float, float], ...] = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
+        """The JSON payload. Besides the fields, the per-chunk compute
+        (enc + convert + dec) gives its median and maximum, and
+        `deadline_misses` counts the chunks whose compute took longer than
+        the current region they emit."""
+        totals = np.sum(self.timings, axis=1)
         return {
             "t_model_ms": self.t_model_ms,
             "t_current_ms": self.t_current_ms,
@@ -124,12 +132,15 @@ class LatencyReport:
             "t_future_ms": self.t_future_ms,
             "t_compute_ms": {
                 "mean": self.t_compute_mean_ms,
+                "p50": float(np.median(totals)),
                 "p95": self.t_compute_p95_ms,
+                "max": float(totals.max()),
                 "enc": self.t_enc_ms,
                 "convert": self.t_convert_ms,
                 "dec": self.t_dec_ms,
             },
             "t_latency_ms": self.t_latency_ms,
+            "deadline_misses": int(np.count_nonzero(totals > self.t_current_ms)),
             "chunk_count": self.chunk_count,
             "rtf": self.rtf,
         }

@@ -73,7 +73,7 @@ class TestWavRoundTrip:
         w = Waveform(np.array([2.0, -2.0, 0.0]))
         p = tmp_path / "clip.wav"
         with caplog.at_level("WARNING"):
-            write_wav(p, w)
+            assert write_wav(p, w) == 2
         assert any("clipped 2" in r.message for r in caplog.records)
         back = read_wav(p)
         assert back.samples[0] == pytest.approx(32767 / 32768)

@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 from latentvc import (
+    ConvertRequest,
+    convert_offline,
+    convert_streaming,
     init_params,
     mel_spectrogram,
     read_wav,
@@ -53,8 +56,9 @@ class TestConvert:
             "--output", out_path, "--identity",
         ])
         assert code == 0
-        assert set(payload) == {"rtf", "duration_s", "output"}
+        assert set(payload) == {"rtf", "duration_s", "output", "clipped_samples"}
         assert payload["output"] == out_path
+        assert payload["clipped_samples"] == 0
         assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
 
     def test_report_file_matches_stdout(self, capsys, wavs, tmp_path):
@@ -122,9 +126,9 @@ class TestStream:
         assert code == 0
         assert set(payload) == {
             "t_model_ms", "t_current_ms", "t_overlap_ms", "t_future_ms",
-            "t_compute_ms", "t_latency_ms", "chunk_count", "rtf",
+            "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf", "clipped_samples",
         }
-        assert set(payload["t_compute_ms"]) == {"mean", "p95", "enc", "convert", "dec"}
+        assert set(payload["t_compute_ms"]) == {"mean", "p50", "p95", "max", "enc", "convert", "dec"}
         assert payload["t_model_ms"] == pytest.approx(32.0)
         assert payload["chunk_count"] == math.ceil(8000 / SMALL_STREAM.current_samples)
 
@@ -157,6 +161,37 @@ class TestStream:
             "--output", str(tmp_path / "out.wav"), "--identity",
             "--current-ms", "0",
         ]) == 2
+
+
+class TestClipCount:
+    # Written at three times full scale, most source samples sit on the PCM
+    # limits, and the codec round trip moves about half of those just past.
+    @pytest.fixture()
+    def loud(self, tmp_path, wavs):
+        src = tmp_path / "loud.wav"
+        write_wav(src, make_wave(8000, seed=53, amp=3.0))
+        return str(src), wavs[1]
+
+    @staticmethod
+    def count_clipped(w):
+        return int(np.count_nonzero((w.samples < -1.0) | (w.samples > 32767 / 32768)))
+
+    def test_convert_payload_counts_clipped_samples(self, capsys, loud, tmp_path):
+        src, ref = loud
+        code, payload = run(capsys, ["convert", "--source", src, "--reference", ref,
+                                     "--output", str(tmp_path / "out.wav"), "--identity"])
+        assert code == 0
+        want = self.count_clipped(convert_offline(ConvertRequest(src, ref, use_identity=True))[0])
+        assert want > 0 and payload["clipped_samples"] == want
+
+    def test_stream_payload_counts_clipped_samples(self, capsys, loud, tmp_path):
+        src, ref = loud
+        code, payload = run(capsys, ["stream", "--source", src, "--reference", ref,
+                                     "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY])
+        assert code == 0
+        out, _ = convert_streaming(ConvertRequest(src, ref, stream_cfg=SMALL_STREAM, use_identity=True))
+        want = self.count_clipped(out)
+        assert want > 0 and payload["clipped_samples"] == want
 
 
 class TestBenchCommand:

@@ -6,8 +6,9 @@ random tiny geometries. Also covers the zero-gate identity at init, the two
 architecture flags, shape and finiteness validation, the reference cache and
 single-stream guard of `make_converter`, the storage layout of the weights
 and the memory that loading and binding them takes, and the checkpoint
-container (formats 1 and 2): read-only mapped weights, saves that replace
-the file, and tamper rejection before any tensor is read.
+container (formats 1 to 3): read-only mapped weights, saves that replace
+the file, tamper rejection before any tensor is read, and the condition-
+pre-only last block of format 3, whose older whole-block files still load.
 """
 
 import json
@@ -17,6 +18,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -97,9 +99,12 @@ def oracle_forward(params, z, c, g):
                 hid = s_matvec(g, t[p + "adaln.w1"], t[p + "adaln.b1"])
                 hid = np.array([s_gelu(v) for v in hid])
                 mod = s_matvec(hid, t[p + "adaln.w2"], t[p + "adaln.b2"])
-                parts = np.split(mod, 6)
-                layer[br] = (1.0 + parts[0], parts[1], parts[2],
-                             1.0 + parts[3], parts[4], parts[5])
+                parts = np.split(mod, len(mod) // d)
+                if len(parts) == 6:
+                    layer[br] = (1.0 + parts[0], parts[1], parts[2],
+                                 1.0 + parts[3], parts[4], parts[5])
+                else:  # the condition-pre-only last block: (s1, b1)
+                    layer[br] = (1.0 + parts[0], parts[1])
             mods.append(layer)
 
     def branch(tok):
@@ -116,6 +121,9 @@ def oracle_forward(params, z, c, g):
             ln.append(row)
         qkv = [s_matvec(ln[tok], t[pre[branch(tok)] + "qkv.w"],
                         t[pre[branch(tok)] + "qkv.b"]) for tok in range(T_s + T_c)]
+        # The last block's condition tokens supply keys and values only.
+        pre_only = li == cfg.n_layers - 1
+        qkv = [np.concatenate([np.zeros(d), row]) if len(row) == 2 * d else row for row in qkv]
         att = [np.zeros(d) for _ in range(T_s + T_c)]
         for head in range(cfg.n_heads):
             lo = head * dh
@@ -135,7 +143,7 @@ def oracle_forward(params, z, c, g):
                         att[i][lo + f] += p * qkv[j][2 * d + lo + f]
         for tok in range(T_s + T_c):
             br = branch(tok)
-            if br == "cond" and not cfg.update_cond_branch:
+            if br == "cond" and (not cfg.update_cond_branch or pre_only):
                 continue
             out = s_matvec(att[tok], t[pre[br] + "attn_out.w"], t[pre[br] + "attn_out.b"])
             if mods:
@@ -143,7 +151,7 @@ def oracle_forward(params, z, c, g):
             h[tok] = h[tok] + out
         for tok in range(T_s + T_c):
             br = branch(tok)
-            if br == "cond" and not cfg.update_cond_branch:
+            if br == "cond" and (not cfg.update_cond_branch or pre_only):
                 continue
             row = s_ln(h[tok])
             if mods:
@@ -159,12 +167,23 @@ def oracle_forward(params, z, c, g):
                      for i in range(T_s)])
 
 
+def live_columns(name, full, shape):
+    """The columns of a whole-block tensor `full` that the condition-pre-only
+    last block keeps as `shape`: keys and values of `qkv.*`, (s1, b1) of
+    `adaln.*`."""
+    k = shape[-1]
+    return full[..., full.shape[-1] - k:] if ".qkv." in name else full[..., :k]
+
+
 def random_params(cfg, seed):
+    """Row-major weights drawn for the whole last block, as before format 3,
+    of which the condition-pre-only block keeps its live columns."""
     params = init_params(cfg, seed=0)
     r = np.random.default_rng(seed)
-    for name in params.tensors:
-        params.tensors[name] = r.standard_normal(
-            params.tensors[name].shape).astype(np.float32) * 0.2
+    for name, shape in tensor_shapes(cfg, version=2).items():
+        full = r.standard_normal(shape).astype(np.float32) * 0.2
+        if name in params.tensors:
+            params.tensors[name] = np.ascontiguousarray(live_columns(name, full, params.tensors[name].shape))
     return params
 
 
@@ -220,12 +239,12 @@ def replace_file(path, data):
         f.write(data)
 
 
-def replace_header(path, header, pad=0):
-    """Replace the JSON header of the checkpoint at `path` with `header`
-    followed by `pad` spaces, keeping its blobs."""
+def replace_header(path, header):
+    """Replace the JSON header of the checkpoint at `path` with `header`,
+    keeping its blobs."""
     raw = path.read_bytes()
     header_end = 16 + int.from_bytes(raw[8:16], "little")
-    blob = json.dumps(header).encode() + b" " * pad
+    blob = json.dumps(header).encode()
     replace_file(path, raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[header_end:])
 
 
@@ -236,23 +255,50 @@ def rewrite_header(path, edit):
     replace_header(path, header)
 
 
+# The last block's condition tensors that formats 1 and 2 hold and format 3 drops.
+DEAD = ("attn_out.w", "attn_out.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+
+
+def whole_block_tensors(params):
+    """The tensors of a format-1 or format-2 file of `params`: the whole last
+    block, with NaN in the dead tensors and columns, which no load may read."""
+    out = {}
+    for name, shape in tensor_shapes(params.cfg, version=2).items():
+        out[name] = np.full(shape, np.nan, np.float32)
+        if name in params.tensors:
+            live_columns(name, out[name], params.tensors[name].shape)[...] = params.tensors[name]
+    return out
+
+
+def save_legacy(path, params, version, aligned=True):
+    """Write `params` as a format-1 or format-2 checkpoint, as older code did:
+    whole-block tensors, format-1 blobs row-major in their (in, out) shape,
+    format-2 blobs in storage order. The header is padded so the blobs start
+    on 64 bytes, or, if not `aligned`, one byte past the 4-byte grid."""
+    tensors = whole_block_tensors(params)
+    manifest, offset = {}, 0
+    for name, t in tensors.items():
+        manifest[name] = [list(t.shape), offset]
+        offset += t.nbytes
+    header = json.dumps({"format_version": version, "config": asdict(params.cfg), "manifest": manifest}).encode()
+    header += b" " * ((-16 - len(header)) % 64 if aligned else (1 - 16 - len(header)) % 4)
+    blobs = b"".join(np.ascontiguousarray(t.T if version == 2 and is_out_major(n) else t).tobytes()
+                     for n, t in tensors.items())
+    replace_file(path, b"LVCPRM01" + len(header).to_bytes(8, "little") + header + blobs)
+
+
 def save_v1(path, params):
-    """Write `params` as a format-1 checkpoint: the same header at version 1,
-    with every blob row-major in its (in, out) shape."""
-    save_params(path, params)
-    rewrite_header(path, lambda h: h.update(format_version=1))
-    _, header_end = read_header(path)
-    blobs = b"".join(np.ascontiguousarray(params.tensors[n], dtype="<f4").tobytes()
-                     for n in tensor_shapes(params.cfg))
-    replace_file(path, path.read_bytes()[:header_end] + blobs)
+    save_legacy(path, params, 1)
+
+
+def save_v2(path, params):
+    save_legacy(path, params, 2)
 
 
 def save_unaligned(path, params):
-    """Write `params` as a format-2 checkpoint whose unpadded header puts the
-    blob section one byte past the 4-byte grid, as older code could."""
-    save_params(path, params)
-    header, _ = read_header(path)
-    replace_header(path, header, pad=(1 - 16 - len(json.dumps(header).encode())) % 4)
+    """A format-2 file whose blob section starts one byte past the 4-byte
+    grid, as code older than the header padding could write."""
+    save_legacy(path, params, 2, aligned=False)
 
 
 def tiny_inputs(seed, t_s=5, t_c=3):
@@ -278,7 +324,7 @@ class TestConfig:
             ConverterConfig(n_layers=0)
 
     def test_param_count_default(self):
-        assert param_count(init_params(ConverterConfig(), seed=0)) == 59_017_216
+        assert param_count(init_params(ConverterConfig(), seed=0)) == 55_341_568
 
     def test_tensor_shapes_tiny(self, tiny_cfg):
         shapes = tensor_shapes(tiny_cfg)
@@ -286,9 +332,14 @@ class TestConfig:
         assert shapes["cond_in.w"] == (4, 8)
         assert shapes["src_out.w"] == (8, 6)
         assert shapes["layers.0.src.qkv.w"] == (8, 24)
-        assert shapes["layers.1.cond.ffn.w1"] == (8, 16)
+        assert shapes["layers.0.cond.ffn.w1"] == (8, 16)
         assert shapes["layers.0.cond.adaln.w1"] == (3, 8)
         assert shapes["layers.0.cond.adaln.w2"] == (8, 48)
+        # the last block's condition branch supplies keys and values only
+        assert shapes["layers.1.cond.qkv.w"] == (8, 16)
+        assert shapes["layers.1.cond.adaln.w2"] == (8, 16)
+        assert not any(f"layers.1.cond.{n}" in shapes for n in DEAD)
+        assert tensor_shapes(tiny_cfg, version=2)["layers.1.cond.qkv.w"] == (8, 24)
         # ordering is the checkpoint layout, so it must be stable
         assert list(shapes)[:2] == ["src_in.w", "src_in.b"]
         assert list(shapes)[-2:] == ["src_out.w", "src_out.b"]
@@ -315,12 +366,15 @@ class TestBuildingBlocks:
     def test_modulations_at_init_are_identity(self, tiny_cfg):
         params = init_params(tiny_cfg, seed=1)
         mods = speaker_modulations(params, np.ones(3, dtype=np.float32))
+        assert len(mods[-1]["cond"]) == 2  # (s1, b1) of the condition-pre-only block
         for layer in mods:
             for br in ("src", "cond"):
-                s1, b1, a1, s2, b2, a2 = layer[br]
-                assert np.all(s1 == 1.0) and np.all(s2 == 1.0)
-                assert np.all(b1 == 0.0) and np.all(b2 == 0.0)
-                assert np.all(a1 == 0.0) and np.all(a2 == 0.0)
+                s1, b1, *post = layer[br]
+                assert np.all(s1 == 1.0) and np.all(b1 == 0.0)
+                if post:
+                    a1, s2, b2, a2 = post
+                    assert np.all(s2 == 1.0) and np.all(b2 == 0.0)
+                    assert np.all(a1 == 0.0) and np.all(a2 == 0.0)
 
 
 class TestInit:
@@ -329,7 +383,7 @@ class TestInit:
         t = params.tensors
         assert np.all(t["src_in.b"] == 0.0)
         assert np.all(t["layers.0.src.qkv.b"] == 0.0)
-        assert np.all(t["layers.1.cond.ffn.b2"] == 0.0)
+        assert np.all(t["layers.0.cond.ffn.b2"] == 0.0)
         # zero-init modulation output keeps every block an identity
         assert np.all(t["layers.0.src.adaln.w2"] == 0.0)
         assert np.all(t["layers.1.cond.adaln.b2"] == 0.0)
@@ -347,6 +401,20 @@ class TestInit:
         c = init_params(tiny_cfg, seed=10)
         assert all(np.array_equal(a.tensors[n], b.tensors[n]) for n in a.tensors)
         assert any(not np.array_equal(a.tensors[n], c.tensors[n]) for n in a.tensors)
+
+    def test_kept_tensors_keep_their_whole_block_draws(self, tiny_cfg):
+        # Drawn as format 2 was, over the whole last block: every kept
+        # tensor holds the values the seed always gave it.
+        params = init_params(tiny_cfg, seed=9)
+        rng = np.random.default_rng(9)
+        for name, shape in tensor_shapes(tiny_cfg, version=2).items():
+            if name.endswith((".b", "b1", "b2", "adaln.w2")):
+                continue
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            full = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+            if name in params.tensors:
+                assert np.array_equal(params.tensors[name], live_columns(name, full, params.tensors[name].shape)), name
+        assert not np.all(params.tensors["layers.1.cond.qkv.w"] == 0.0)
 
     def test_default_dtype_float32(self, tiny_cfg):
         assert init_params(tiny_cfg, seed=0).tensors["src_in.w"].dtype == np.float32
@@ -460,7 +528,8 @@ class TestStorageLayout:
         assert isinstance(loaded, ConverterParams)
         assert peak < 0.05 * nbytes
 
-    @pytest.mark.parametrize("write", [save_params, save_unaligned, save_v1], ids=["v2", "v2-unaligned", "v1"])
+    @pytest.mark.parametrize("write", [save_params, save_unaligned, save_v1, save_v2],
+                             ids=["v3", "v2-unaligned", "v1", "v2"])
     def test_loaded_weights_are_read_only(self, tmp_path, write):
         p = tmp_path / "m.lvc"
         write(p, random_tiny_params(4))
@@ -546,6 +615,14 @@ class TestArchitectureFlags:
         z, c, g = tiny_inputs(142)
         _, trace = forward(params, z, c, g, return_trace=True)
         assert not np.allclose(trace[0][1], trace[-1][1])
+
+    @pytest.mark.parametrize("update", [True, False])
+    def test_last_block_repeats_its_condition_state(self, update):
+        params = random_tiny_params(44, update_cond_branch=update)
+        _, trace = forward(params, *tiny_inputs(144), return_trace=True)
+        assert len(trace) == params.cfg.n_layers + 1
+        assert np.array_equal(trace[-1][1], trace[-2][1])
+        assert not np.array_equal(trace[-1][0], trace[-2][0])
 
     def test_each_flag_changes_default_output(self):
         base = random_tiny_params(43)
@@ -719,7 +796,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_params(p)
 
-    @pytest.mark.parametrize("version", [0, 3])
+    @pytest.mark.parametrize("version", [0, 4])
     def test_neighbouring_versions_refused(self, tiny_params, tmp_path, version):
         p = tmp_path / "m.lvc"
         save_params(p, tiny_params)
@@ -732,7 +809,7 @@ class TestCheckpoint:
         p = tmp_path / "m.lvc"
         save_params(p, params)
         header, header_end = read_header(p)
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
         raw = p.read_bytes()[header_end:]
         for name, t in params.tensors.items():
             shape, offset = header["manifest"][name]
@@ -753,6 +830,52 @@ class TestCheckpoint:
             assert np.array_equal(v1.tensors[name], t), name
             assert np.array_equal(v2.tensors[name], t), name
             assert v1.tensors[name].strides == v2.tensors[name].strides, name
+
+    def test_format_3_drops_the_dead_tensors(self, tmp_path):
+        # Default model: the last block's condition branch loses 3.68 M
+        # parameters, 14.7 MB of the file.
+        cfg = ConverterConfig()
+        params = ConverterParams(cfg, {n: np.zeros(s, np.float32) for n, s in tensor_shapes(cfg).items()})
+        p = tmp_path / "m.lvc"
+        save_params(p, params)
+        header, header_end = read_header(p)
+        last = f"layers.{cfg.n_layers - 1}.cond."
+        assert header["format_version"] == 3
+        assert not any(last + n in header["manifest"] for n in DEAD)
+        assert header["manifest"][last + "qkv.w"][0] == [512, 1024]
+        assert header["manifest"][last + "adaln.w2"][0] == [512, 1024]
+        whole_block = 4 * sum(int(np.prod(s)) for s in tensor_shapes(cfg, version=2).values())
+        assert p.stat().st_size - header_end == 4 * param_count(params) == whole_block - 14_702_592
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs, version=st.sampled_from([1, 2]), t_s=st.integers(1, 5), t_c=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_legacy_file_loads_bitwise_like_its_format_3_resave(self, tmp_path_factory, cfg, version, t_s, t_c,
+                                                               seed):
+        # The dead tensors and columns of the legacy file are NaN, so any
+        # read of them would show in the output.
+        params = random_params(cfg, seed)
+        d = tmp_path_factory.mktemp("ckpt")
+        save_legacy(d / "old.lvc", params, version)
+        old = load_params(d / "old.lvc")
+        save_params(d / "new.lvc", old)
+        new = load_params(d / "new.lvc")
+        for name, t in params.tensors.items():
+            assert np.array_equal(old.tensors[name], t) and np.array_equal(new.tensors[name], t), name
+        z, c, g = random_inputs(cfg, np.random.default_rng(seed), t_s, t_c)
+        want = make_converter(params)(z, c, g)
+        assert np.isfinite(want).all()
+        for loaded in (old, new):
+            assert np.array_equal(make_converter(loaded)(z, c, g), want)
+            assert np.array_equal(forward(loaded, z, c, g), want)
+
+    @pytest.mark.parametrize("write, version", [(save_params, 2), (save_v2, 3), (save_v1, 3)])
+    def test_manifest_must_be_its_versions(self, tmp_path, write, version):
+        p = tmp_path / "m.lvc"
+        write(p, random_tiny_params(11))
+        rewrite_header(p, lambda h: h.update(format_version=version))
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_params(p)
 
     def test_unaligned_file_loads_bitwise(self, tmp_path):
         params = random_tiny_params(10)

@@ -7,6 +7,7 @@ so rewritten files decode to exactly the same integers.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from latentvc import (
     toy_codec,
     write_wav,
 )
+from latentvc import pipeline
 
 from conftest import make_wave
 
@@ -144,6 +146,28 @@ class TestBench:
         steps = math.ceil(8000 / SMALL_STREAM.current_samples)
         _, report = bench(req, repeats=2)
         assert report.chunk_count == 2 * steps
+
+    def test_pools_deadline_misses_across_repeats(self, wav_pair, monkeypatch):
+        # Every 8th chunk takes over its 16 ms current region; a stream is
+        # 32 chunks, so each of the two measured runs has 4 late chunks.
+        calls = []
+
+        def slow_every_8th(z, c, g):
+            calls.append(None)
+            if len(calls) % 8 == 1:
+                time.sleep(0.03)
+            return z
+
+        monkeypatch.setattr(pipeline, "load_converter", lambda req: slow_every_8th)
+        src, ref = wav_pair
+        req = ConvertRequest(source_path=src, reference_path=ref, stream_cfg=SMALL_STREAM)
+        _, report = bench(req, repeats=2)
+        d = report.to_dict()
+        totals = [sum(t) for t in report.timings]
+        assert len(calls) == 3 * 32 and len(totals) == 2 * 32
+        assert d["deadline_misses"] == sum(t > 16.0 for t in totals) >= 8
+        assert d["t_compute_ms"]["max"] == max(totals) >= 30.0
+        assert d["t_compute_ms"]["p50"] == float(np.median(totals))
 
     def test_audio_matches_single_run(self, wav_pair):
         src, ref = wav_pair

@@ -4,14 +4,22 @@ The stepping oracle rebuilds the whole chunk loop longhand (zero-padded
 window extraction, per-step gain, cosine blend written out with math.cos)
 and compares against stream_run driven by a stateful linear converter, so
 window placement, overlap blending, and trimming are all checked against
-independent arithmetic.
+independent arithmetic. Hypothesis properties cover random geometries,
+valid and invalid, and a subprocess checks that the runtime imports no
+scipy.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import latentvc
 from latentvc import (
     NonFiniteError,
     StreamConfig,
@@ -28,6 +36,7 @@ from latentvc import (
     toy_codec,
     identity_converter,
 )
+from latentvc.pipeline import offline_run
 
 from conftest import make_wave
 
@@ -288,5 +297,76 @@ class TestLatencyReport:
         rep = build_report(StreamConfig(), [(1.0, 2.0, 3.0)], wall_s=0.5, duration_s=1.0)
         d = rep.to_dict()
         assert set(d) == {"t_model_ms", "t_current_ms", "t_overlap_ms", "t_future_ms",
-                          "t_compute_ms", "t_latency_ms", "chunk_count", "rtf"}
-        assert set(d["t_compute_ms"]) == {"mean", "p95", "enc", "convert", "dec"}
+                          "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf"}
+        assert set(d["t_compute_ms"]) == {"mean", "p50", "p95", "max", "enc", "convert", "dec"}
+
+    def test_to_dict_reads_p50_max_and_misses_from_the_timings(self):
+        # chunk compute 102, 120, 120.5, 151, 64 ms against a 120 ms current
+        # region: 120 ms is on time, 120.5 and 151 ms are late
+        timings = [(1.0, 100.0, 1.0), (1.0, 118.0, 1.0), (1.0, 118.0, 1.5), (0.5, 150.0, 0.5), (2.0, 60.0, 2.0)]
+        d = build_report(StreamConfig(), timings, wall_s=0.5, duration_s=0.6).to_dict()
+        assert d["t_compute_ms"]["p50"] == 120.0
+        assert d["t_compute_ms"]["max"] == 151.0
+        assert d["deadline_misses"] == 2
+        assert d["t_compute_ms"]["mean"] == pytest.approx(557.5 / 5)
+
+
+@st.composite
+def geometries(draw):
+    """A valid StreamConfig, in whole samples with a hop-multiple window, and
+    a source length of at most 40 chunks."""
+    W = 256 * draw(st.integers(1, 12))
+    C = draw(st.integers(1, W))
+    O = draw(st.integers(0, min(C, W - C)))
+    F = draw(st.integers(0, W - C - O))
+    cfg = StreamConfig(window_ms=W / 16, current_ms=C / 16, overlap_ms=O / 16, future_ms=F / 16)
+    return cfg, draw(st.integers(1, 40 * C))
+
+
+REFERENCE = make_wave(4000, seed=13)
+
+
+class TestStreamingProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(geometry=geometries(), seed=st.integers(0, 2**32 - 1))
+    def test_identity_stream_is_the_offline_round_trip(self, geometry, seed):
+        cfg, n = geometry
+        source = make_wave(n, seed=seed % 2**31)
+        out, report = stream_run(source, REFERENCE, cfg, toy_codec(), identity_converter)
+        offline, _ = offline_run(source, REFERENCE, toy_codec(), identity_converter)
+        assert len(out) == n == len(offline)
+        assert report.chunk_count == math.ceil(n / cfg.current_samples)
+        assert np.abs(out.samples - offline.samples).max() <= 1e-5
+        assert np.abs(out.samples - source.samples).max() <= 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(W=st.integers(1, 3072) | st.integers(1, 12).map(lambda k: 256 * k), C=st.integers(0, 3072), O=st.integers(-64, 3072), F=st.integers(-64, 3072),
+           half=st.booleans())
+    def test_invalid_geometries_raise_value_error(self, W, C, O, F, half):
+        # a geometry is valid when every region is a whole number of samples,
+        # the current region is not empty, none is negative, the overlap is
+        # no longer than the current region, they fit the window, and the
+        # window is a whole number of codec frames
+        valid = not half and C >= 1 and 0 <= O <= C and F >= 0 and C + O + F <= W and W % 256 == 0
+        kwargs = dict(window_ms=W / 16, current_ms=(C + 0.5 * half) / 16, overlap_ms=O / 16, future_ms=F / 16)
+        if valid:
+            assert StreamConfig(**kwargs).window_samples == W
+        else:
+            with pytest.raises(ValueError):
+                StreamConfig(**kwargs)
+
+
+def test_runtime_does_not_import_scipy():
+    # One stream step exercises the codec, the features and the converter.
+    code = (
+        "import sys, numpy as np, latentvc as lv\n"
+        "cfg = lv.ConverterConfig(d_model=8, n_layers=1, n_heads=2, d_head=4, ffn_ratio=1)\n"
+        "w = lv.Waveform(0.1 * np.random.default_rng(0).standard_normal(40000))\n"
+        "state = lv.init_stream(w)\n"
+        "lv.stream_step(state, lv.StreamConfig(), w, 0, lv.toy_codec(), lv.make_converter(lv.init_params(cfg, 0)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(latentvc.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
