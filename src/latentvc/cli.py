@@ -2,7 +2,8 @@
 
 Subcommands: convert (offline), stream, bench, features, make-pairs,
 sample-roles, eval-loss. Each prints a small JSON payload to stdout;
-`--report` additionally writes that payload to a file.
+`--report` additionally writes that payload to a file. The conversion
+entry points return audio, and `--output` is written here.
 
 Exit codes: 0 success, 2 invalid arguments, 3 unreadable or malformed
 input (audio files, checkpoints), 4 non-finite values detected in audio
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +62,11 @@ def _stream_cfg(args: argparse.Namespace) -> StreamConfig:
 
 
 def _request(args: argparse.Namespace, cfg: StreamConfig | None = None) -> ConvertRequest:
+    if args.output is not None and args.output in (args.source, args.reference):
+        raise ValueError("--output must differ from the input paths")
     return ConvertRequest(
         source_path=args.source,
         reference_path=args.reference,
-        output_path=args.output,
         stream_cfg=cfg if cfg is not None else StreamConfig(),
         checkpoint_path=args.checkpoint,
         seed=args.seed,
@@ -73,23 +74,23 @@ def _request(args: argparse.Namespace, cfg: StreamConfig | None = None) -> Conve
     )
 
 
-# `convert` and `stream` write the output here rather than in the pipeline,
-# so that the payload can carry the clip count `write_wav` returns.
 def _cmd_convert(args: argparse.Namespace) -> int:
-    out, rtf = convert_offline(replace(_request(args), output_path=None))
+    out, rtf = convert_offline(_request(args))
     clipped = write_wav(args.output, out)
     _emit({"rtf": rtf, "duration_s": out.duration_s, "output": args.output, "clipped_samples": clipped}, args.report)
     return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    out, report = convert_streaming(replace(_request(args, _stream_cfg(args)), output_path=None))
+    out, report = convert_streaming(_request(args, _stream_cfg(args)))
     _emit({**report.to_dict(), "clipped_samples": write_wav(args.output, out)}, args.report)
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    _, report = bench(_request(args, _stream_cfg(args)), repeats=args.repeats)
+    out, report = bench(_request(args, _stream_cfg(args)), repeats=args.repeats)
+    if args.output is not None:
+        write_wav(args.output, out)
     _emit(report.to_dict(), args.report)
     return 0
 

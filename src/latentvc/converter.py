@@ -21,13 +21,13 @@ after the last block, so that block's condition branch only supplies keys
 and values (condition-pre-only, as in SD3's MMDiT) and has no parameters
 for anything else.
 
-A forward pass splits into `prepare`, the work that depends only on the
-reference (c, g), and a per-chunk body over the source latents. With
-`update_cond_branch` off the body skips every condition query, since the
-frozen stream's keys and values are all prepared.
-`make_converter` keeps the prepared state of the last reference across
-calls, so a stream pays for it once; its closure is single-stream and
-refuses concurrent or reentrant calls.
+Both branches run through one routine, parameterised by branch: `_qkv_into`
+for the modulated norm and QKV projection, then one loop body for the
+attention output and FFN with their gated residuals. A forward pass splits
+into `prepare`, the work that depends only on the reference (c, g), and a
+per-chunk body over the source latents. `make_converter` keeps the prepared
+state of the last reference across calls, so a stream pays for it once;
+its closure is single-stream and refuses concurrent or reentrant calls.
 
 The blocks multiply feature-major activations by (out, in) matrices. The
 projection matrices are therefore stored out-major (Fortran order): their
@@ -230,7 +230,8 @@ def _cached_pe(n: int, d_model: int, dtype_name: str) -> np.ndarray:
 
 def speaker_modulations(params: ConverterParams, g: np.ndarray) -> list[dict[str, tuple[np.ndarray, ...]]]:
     """Per-layer, per-branch modulation tuples (s1, b1, a1, s2, b2, a2) from g;
-    (s1, b1) for the condition-pre-only last block.
+    (s1, b1) for the condition-pre-only last block. Each is a (d_model, 1)
+    column, the form the feature-major blocks multiply with.
 
     s = 1 + gamma is stored pre-added so the hot path multiplies directly;
     at init gamma = beta = alpha = 0, i.e. s = 1, no shift, closed gates.
@@ -243,7 +244,7 @@ def speaker_modulations(params: ConverterParams, g: np.ndarray) -> list[dict[str
             p = f"layers.{i}.{br}."
             h = gelu(g @ t[p + "adaln.w1"] + t[p + "adaln.b1"])
             mod = h @ t[p + "adaln.w2"] + t[p + "adaln.b2"]
-            parts = np.split(mod, len(mod) // params.cfg.d_model)
+            parts = np.split(mod[:, None], len(mod) // params.cfg.d_model)
             for k in range(0, len(parts), 3):  # s1 and s2
                 parts[k] = 1.0 + parts[k]
             layer[br] = tuple(parts)
@@ -251,8 +252,9 @@ def speaker_modulations(params: ConverterParams, g: np.ndarray) -> list[dict[str
     return out
 
 
-def _ln_fm_into(x: np.ndarray, out: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
-    """layer_norm over axis 0 of a feature-major (d, T) buffer, written into `out`.
+def _ln_fm_into(x: np.ndarray, out: np.ndarray, mod=(None, None)) -> np.ndarray:
+    """layer_norm over axis 0 of a feature-major (d, T) buffer, written into `out`,
+    then ``out*scale + shift`` for `mod` = (scale, shift), (d, 1) columns or Nones.
 
     Same statistics as `layer_norm` on the transposed array; kept separate so
     the hot path can stay feature-major without per-layer transposes.
@@ -260,8 +262,12 @@ def _ln_fm_into(x: np.ndarray, out: np.ndarray, eps: float = LN_EPS) -> np.ndarr
     mu = x.mean(axis=0)
     np.subtract(x, mu, out=out)
     var = np.einsum("dt,dt->t", out, out) / x.shape[0]
-    np.sqrt(var + eps, out=var)
+    np.sqrt(var + LN_EPS, out=var)
     out /= var
+    scale, shift = mod
+    if scale is not None:
+        out *= scale
+        out += shift
     return out
 
 
@@ -302,22 +308,41 @@ def _q_scale(cfg: ConverterConfig, dtype: np.dtype):
     return dtype.type(1.0) / np.sqrt(dtype.type(cfg.d_head))
 
 
+def _qkv_into(t, prefix: str, h: np.ndarray, mod, ln: np.ndarray, out: np.ndarray, q_scale) -> np.ndarray:
+    """Project branch state `h` (d, T), layer-normed into `ln` and modulated
+    by `mod`, onto the last len(out) rows of the block's `qkv` and write them
+    into `out`: q, k and v, or k and v alone. With all 3*d rows the query
+    rows are scaled by `q_scale`."""
+    n = len(out)
+    np.matmul(_w(t, prefix + "qkv.w")[-n:], _ln_fm_into(h, ln, mod), out=out)
+    out += t[prefix + "qkv.b"][-n:, None]
+    if n == 3 * len(h):
+        out[: len(h)] *= q_scale
+    return out
+
+
+def _add_gated(h: np.ndarray, out: np.ndarray, bias: np.ndarray, gate) -> None:
+    """The gated residual ``h += gate*(out + bias)``, computed in `out`; no gate is 1."""
+    out += bias[:, None]
+    if gate is not None:
+        out *= gate
+    h += out
+
+
 @dataclass(frozen=True)
 class Prepared:
     """Everything a forward pass needs that depends only on (c, g).
 
-    Arrays are feature-major and read-only. `mods` is None without speaker
-    conditioning. With `update_cond_branch` the condition stream evolves
-    with the source, so only its layer-0 QKV (`qkv_cond0`) is fixed and
-    `kv_cond` is None; with the branch frozen every layer's condition keys
-    and values are fixed (`kv_cond`, one (2*d_model, T_c) array per layer)
-    and `qkv_cond0` is None.
+    Arrays are feature-major and read-only. `mods` is `speaker_modulations`,
+    all Nones without speaker conditioning. `cond_qkv` holds the condition
+    rows of the packed QKV of its first len(cond_qkv) layers: layer 0's
+    (q, k, v; k, v in a one-block model) when the condition branch updates,
+    every layer's (k, v) when it is frozen.
     """
 
-    mods: list[dict[str, tuple[np.ndarray, ...]]] | None
+    mods: list[dict[str, tuple]]
     h_cond0: np.ndarray
-    qkv_cond0: np.ndarray | None
-    kv_cond: tuple[np.ndarray, ...] | None
+    cond_qkv: tuple[np.ndarray, ...]
 
 
 def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray) -> Prepared:
@@ -341,34 +366,22 @@ def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray) -> Prepared:
             raise NonFiniteError(f"{name} contain non-finite values")
 
     d, T_c = cfg.d_model, c.shape[0]
-    mods = speaker_modulations(params, g.astype(dtype)) if cfg.use_speaker_condition else None
+    if cfg.use_speaker_condition:
+        mods = speaker_modulations(params, g.astype(dtype))
+    else:  # no scale, shift or gate anywhere
+        mods = [{"src": (None,) * 6, "cond": (None,) * 6}] * cfg.n_layers
     h_cond0 = _w(t, "cond_in.w") @ np.ascontiguousarray(c.T, dtype=dtype)
     h_cond0 += t["cond_in.b"][:, None]
     h_cond0 += _cached_pe(T_c, d, dtype.name).T
-    ln0 = _ln_fm_into(h_cond0, np.empty_like(h_cond0))
-
-    # Rows -2d: of a block's qkv are its keys and values, with or without queries.
-    def cond_qkv(i: int, rows: slice) -> np.ndarray:
-        pc = f"layers.{i}.cond."
-        ln = ln0
-        if mods is not None:
-            s1c, b1c = (m[:, None] for m in mods[i]["cond"][:2])
-            ln = ln0 * s1c
-            ln += b1c
-        out = _w(t, pc + "qkv.w")[rows] @ ln
-        out += t[pc + "qkv.b"][rows, None]
-        return out
-
-    if cfg.update_cond_branch:
-        qkv_cond0, kv_cond = cond_qkv(0, slice(None)), None
-        qkv_cond0[: len(qkv_cond0) - 2 * d] *= _q_scale(cfg, dtype)  # the query rows, if any
-        qkv_cond0.flags.writeable = False
-    else:
-        qkv_cond0, kv_cond = None, tuple(cond_qkv(i, slice(-2 * d, None)) for i in range(cfg.n_layers))
-        for kv in kv_cond:
-            kv.flags.writeable = False
-    h_cond0.flags.writeable = False
-    return Prepared(mods, h_cond0, qkv_cond0, kv_cond)
+    rows = [len(t["layers.0.cond.qkv.b"])] if cfg.update_cond_branch else [2 * d] * cfg.n_layers
+    ln, q_scale = np.empty_like(h_cond0), _q_scale(cfg, dtype)
+    cond_qkv = tuple(
+        _qkv_into(t, f"layers.{i}.cond.", h_cond0, mods[i]["cond"][:2], ln, np.empty((n, T_c), dtype), q_scale)
+        for i, n in enumerate(rows)
+    )
+    for a in (h_cond0, *cond_qkv):
+        a.flags.writeable = False
+    return Prepared(mods, h_cond0, cond_qkv)
 
 
 def _convert(
@@ -395,73 +408,42 @@ def _convert(
     T = T_s + T_c
     d, n_heads, d_head, d_ffn = cfg.d_model, cfg.n_heads, cfg.d_head, cfg.d_ffn
     update = cfg.update_cond_branch
-    mods = prep.mods
     q_scale, half = _q_scale(cfg, dtype), dtype.type(0.5)
 
     zT = _buf(scratch, "zT", (cfg.d_latent, T_s), dtype)
     np.copyto(zT, z.T)
-    h_src = _buf(scratch, "h_src", (d, T_s), dtype)
+    h_src = _buf(scratch, "src.h", (d, T_s), dtype)
     np.matmul(_w(t, "src_in.w"), zT, out=h_src)
     h_src += t["src_in.b"][:, None]
     h_src += _cached_pe(T_s, d, dtype.name).T
-    h_cond = prep.h_cond0
-    if update:
-        h_cond = _buf(scratch, "h_cond", (d, T_c), dtype)
-        np.copyto(h_cond, prep.h_cond0)
+    h_cond = _buf(scratch, "cond.h", (d, T_c), dtype)
+    np.copyto(h_cond, prep.h_cond0)
     trace = [(h_src.T.copy(), h_cond.T.copy())] if return_trace else None
+    # Each branch: its name, its state and its token columns in the joint sequence.
+    branches = (("src", h_src, slice(0, T_s)), ("cond", h_cond, slice(T_s, T)))
 
     # Work buffers shared by all layers; activations are (features, tokens).
     # `scores` and `attn` are flat so a layer with only T_s queries gets
-    # contiguous views of them.
+    # contiguous views of them. Each branch's own buffers are fetched from
+    # `scratch` under its name when it first needs them.
     qkv = _buf(scratch, "qkv", (3 * d, T), dtype)
     scores_flat = _buf(scratch, "scores", (n_heads * T * (T if update else T_s),), dtype)
     attn_flat = _buf(scratch, "attn", (d * T,), dtype)
-    ln_s = _buf(scratch, "ln_s", (d, T_s), dtype)
-    out_s = _buf(scratch, "out_s", (d, T_s), dtype)
-    hid_s = _buf(scratch, "hid_s", (d_ffn, T_s), dtype)
-    gel_s = _buf(scratch, "gel_s", (d_ffn, T_s), dtype)
-    if update:
-        ln_c = _buf(scratch, "ln_c", (d, T_c), dtype)
-        out_c = _buf(scratch, "out_c", (d, T_c), dtype)
-        hid_c = _buf(scratch, "hid_c", (d_ffn, T_c), dtype)
-        gel_c = _buf(scratch, "gel_c", (d_ffn, T_c), dtype)
     # per-head views of the packed buffer; all contiguous row blocks
     q_heads = qkv[:d].reshape(n_heads, d_head, T)
     kT_heads = qkv[d : 2 * d].reshape(n_heads, d_head, T).transpose(0, 2, 1)
     v_heads = qkv[2 * d :].reshape(n_heads, d_head, T)
 
     for i in range(cfg.n_layers):
-        ps, pc = f"layers.{i}.src.", f"layers.{i}.cond."
         # Condition tokens query, and are updated, except when frozen or in the last block.
         T_q = T if update and i < cfg.n_layers - 1 else T_s
-        if mods is not None:
-            s1s, b1s, a1s, s2s, b2s, a2s = (m[:, None] for m in mods[i]["src"])
-            s1c, b1c = (m[:, None] for m in mods[i]["cond"][:2])
-            if T_q == T:
-                a1c, s2c, b2c, a2c = (m[:, None] for m in mods[i]["cond"][2:])
-
-        _ln_fm_into(h_src, ln_s)
-        if mods is not None:
-            ln_s *= s1s
-            ln_s += b1s
-        np.matmul(_w(t, ps + "qkv.w"), ln_s, out=qkv[:, :T_s])
-        qkv[:, :T_s] += t[ps + "qkv.b"][:, None]
-        qkv[:d, :T_s] *= q_scale
-        # Condition rows of the packed buffer: q, k, v, or k, v in the last block.
-        rows = slice(3 * d - len(t[pc + "qkv.b"]), 3 * d)
-        if not update:
-            np.copyto(qkv[d:, T_s:], prep.kv_cond[i])
-        elif i == 0:
-            np.copyto(qkv[rows, T_s:], prep.qkv_cond0)
-        else:
-            _ln_fm_into(h_cond, ln_c)
-            if mods is not None:
-                ln_c *= s1c
-                ln_c += b1c
-            np.matmul(_w(t, pc + "qkv.w"), ln_c, out=qkv[rows, T_s:])
-            qkv[rows, T_s:] += t[pc + "qkv.b"][:, None]
-            if T_q == T:
-                qkv[:d, T_s:] *= q_scale
+        for br, h, cols in branches:
+            if br == "cond" and i < len(prep.cond_qkv):
+                np.copyto(qkv[-len(prep.cond_qkv[i]) :, cols], prep.cond_qkv[i])
+                continue
+            p = f"layers.{i}.{br}."
+            ln = _buf(scratch, br + ".ln", h.shape, dtype)
+            _qkv_into(t, p, h, prep.mods[i][br][:2], ln, qkv[-len(t[p + "qkv.b"]) :, cols], q_scale)
 
         # Keys on rows: scores[head, key, query]. The softmax reduces over
         # axis 1 and its normalisation is applied to the (d_head, T_q) output.
@@ -474,50 +456,29 @@ def _convert(
         np.matmul(v_heads, scores, out=attn_heads)
         attn_heads /= scores.sum(axis=1, keepdims=True)
 
-        np.matmul(_w(t, ps + "attn_out.w"), attn[:, :T_s], out=out_s)
-        out_s += t[ps + "attn_out.b"][:, None]
-        if mods is not None:
-            out_s *= a1s
-        h_src += out_s
-        if T_q == T:
-            np.matmul(_w(t, pc + "attn_out.w"), attn[:, T_s:], out=out_c)
-            out_c += t[pc + "attn_out.b"][:, None]
-            if mods is not None:
-                out_c *= a1c
-            h_cond += out_c
-
-        _ln_fm_into(h_src, ln_s)
-        if mods is not None:
-            ln_s *= s2s
-            ln_s += b2s
-        np.matmul(_w(t, ps + "ffn.w1"), ln_s, out=hid_s)
-        hid_s += t[ps + "ffn.b1"][:, None]
-        _gelu_into(hid_s, gel_s)
-        np.matmul(_w(t, ps + "ffn.w2"), gel_s, out=out_s)
-        out_s *= half
-        out_s += t[ps + "ffn.b2"][:, None]
-        if mods is not None:
-            out_s *= a2s
-        h_src += out_s
-        if T_q == T:
-            _ln_fm_into(h_cond, ln_c)
-            if mods is not None:
-                ln_c *= s2c
-                ln_c += b2c
-            np.matmul(_w(t, pc + "ffn.w1"), ln_c, out=hid_c)
-            hid_c += t[pc + "ffn.b1"][:, None]
-            _gelu_into(hid_c, gel_c)
-            np.matmul(_w(t, pc + "ffn.w2"), gel_c, out=out_c)
-            out_c *= half
-            out_c += t[pc + "ffn.b2"][:, None]
-            if mods is not None:
-                out_c *= a2c
-            h_cond += out_c
+        # The branches are independent from here on: each one that is updated
+        # runs its attention output and FFN, each with its gated residual.
+        live = branches if T_q == T else branches[:1]
+        for br, h, cols in live:
+            p = f"layers.{i}.{br}."
+            _, _, a1, s2, b2, a2 = prep.mods[i][br]
+            ln = _buf(scratch, br + ".ln", h.shape, dtype)
+            out = _buf(scratch, br + ".out", h.shape, dtype)
+            hid = _buf(scratch, br + ".hid", (d_ffn, h.shape[1]), dtype)
+            gel = _buf(scratch, br + ".gel", (d_ffn, h.shape[1]), dtype)
+            np.matmul(_w(t, p + "attn_out.w"), attn[:, cols], out=out)
+            _add_gated(h, out, t[p + "attn_out.b"], a1)
+            np.matmul(_w(t, p + "ffn.w1"), _ln_fm_into(h, ln, (s2, b2)), out=hid)
+            hid += t[p + "ffn.b1"][:, None]
+            _gelu_into(hid, gel)
+            np.matmul(_w(t, p + "ffn.w2"), gel, out=out)
+            out *= half
+            _add_gated(h, out, t[p + "ffn.b2"], a2)
 
         if return_trace:
             trace.append((h_src.T.copy(), h_cond.T.copy()))
 
-    _ln_fm_into(h_src, ln_s)
+    ln_s = _ln_fm_into(h_src, _buf(scratch, "src.ln", (d, T_s), dtype))
     outT = _buf(scratch, "outT", (cfg.d_latent, T_s), dtype)
     np.matmul(_w(t, "src_out.w"), ln_s, out=outT)
     outT += t["src_out.b"][:, None]
@@ -541,12 +502,16 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     entry repeats the condition state the block was given.
 
     The work splits in two: `prepare` computes what depends only on the
-    reference (speaker modulations, the projected condition stream, its
-    layer-0 QKV, and with the condition branch frozen every layer's
-    condition keys and values), and `_convert` runs the source through the
-    blocks. With the branch frozen all condition queries are skipped, so
-    attention is T_s x T. This stateless entry point redoes both halves on
-    every call; `make_converter` keeps the prepared half across calls.
+    reference (speaker modulations, the projected condition stream and
+    `cond_qkv`), and `_convert` runs the source through the blocks. This
+    stateless entry point redoes both halves on every call; `make_converter`
+    keeps the prepared half across calls.
+
+    Each block runs one routine per branch. Layer i's condition rows of the
+    packed QKV are copied from `cond_qkv` if i < len(cond_qkv), else computed
+    like the source rows. Only branches that are updated query: the source
+    always, the condition branch unless frozen or in the last block (there,
+    attention is T_s x T). The condition state is a work-buffer copy.
 
     The body keeps activations feature-major (d, T) and multiplies with the
     (out, in) transposes of the projection matrices, which are views when

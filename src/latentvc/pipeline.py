@@ -10,7 +10,8 @@ windowing, which is what the equivalence tests exercise.
 The default converter is freshly initialized from the request seed (usable
 and deterministic, but untrained); a checkpoint path loads trained
 parameters, and `use_identity` selects the latent passthrough, which turns
-either mode into a pure codec round trip.
+either mode into a pure codec round trip. The entry points read their input
+files and return the audio; they write no file.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import Waveform, read_wav, slice_pad, write_wav
+from .audio_io import Waveform, read_wav, slice_pad
 from .codec import CodecInterface, toy_codec
 from .converter import (
     ConverterConfig,
@@ -38,15 +39,12 @@ from .streaming import LatencyReport, StreamConfig, build_report, stream_run
 class ConvertRequest:
     source_path: str
     reference_path: str
-    output_path: str | None = None
     stream_cfg: StreamConfig = field(default_factory=StreamConfig)
     checkpoint_path: str | None = None
     seed: int = 0
     use_identity: bool = False
 
     def __post_init__(self) -> None:
-        if self.output_path is not None and self.output_path in (self.source_path, self.reference_path):
-            raise ValueError("output_path must differ from the input paths")
         if self.checkpoint_path is not None and self.use_identity:
             raise ValueError("checkpoint_path and use_identity are mutually exclusive")
 
@@ -88,19 +86,13 @@ def offline_run(
 def convert_offline(req: ConvertRequest) -> tuple[Waveform, float]:
     source = read_wav(req.source_path)
     reference = read_wav(req.reference_path)
-    out, rtf = offline_run(source, reference, toy_codec(), load_converter(req))
-    if req.output_path is not None:
-        write_wav(req.output_path, out)
-    return out, rtf
+    return offline_run(source, reference, toy_codec(), load_converter(req))
 
 
 def convert_streaming(req: ConvertRequest) -> tuple[Waveform, LatencyReport]:
     source = read_wav(req.source_path)
     reference = read_wav(req.reference_path)
-    out, report = stream_run(source, reference, req.stream_cfg, toy_codec(), load_converter(req))
-    if req.output_path is not None:
-        write_wav(req.output_path, out)
-    return out, report
+    return stream_run(source, reference, req.stream_cfg, toy_codec(), load_converter(req))
 
 
 def bench(req: ConvertRequest, repeats: int) -> tuple[Waveform, LatencyReport]:
@@ -124,6 +116,4 @@ def bench(req: ConvertRequest, repeats: int) -> tuple[Waveform, LatencyReport]:
     reports = [report for _, report in runs]
     mean_wall_s = float(np.mean([r.rtf for r in reports])) * source.duration_s
     report = build_report(req.stream_cfg, [t for r in reports for t in r.timings], mean_wall_s, source.duration_s)
-    if req.output_path is not None:
-        write_wav(req.output_path, out)
     return out, report

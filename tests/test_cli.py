@@ -82,9 +82,15 @@ class TestConvert:
         assert "error:" in capsys.readouterr().err
 
     def test_output_colliding_with_source_exits_2(self, capsys, wavs):
+        # The reference path is an input too; neither file is touched.
         src, ref = wavs
-        assert main(["convert", "--source", src, "--reference", ref,
-                     "--output", src, "--identity"]) == 2
+        before = [read_wav(src).samples, read_wav(ref).samples]
+        for command in ("convert", "stream", "bench"):
+            for path in (src, ref):
+                assert main([command, "--source", src, "--reference", ref,
+                             "--output", path, "--identity"]) == 2
+        assert "differ" in capsys.readouterr().err
+        assert all(np.array_equal(a, read_wav(p).samples) for a, p in zip(before, (src, ref)))
 
     def test_corrupt_checkpoint_exits_3(self, capsys, wavs, tmp_path):
         src, ref = wavs
@@ -204,6 +210,16 @@ class TestBenchCommand:
         assert code == 0
         steps = math.ceil(8000 / SMALL_STREAM.current_samples)
         assert payload["chunk_count"] == 2 * steps
+
+    def test_writes_output_only_when_asked(self, capsys, wavs, tmp_path):
+        src, ref = wavs
+        out_path = tmp_path / "out.wav"
+        argv = ["bench", "--source", src, "--reference", ref, "--identity", "--repeats", "1", *GEOMETRY]
+        before = set(tmp_path.iterdir())
+        assert run(capsys, argv)[0] == 0
+        assert set(tmp_path.iterdir()) == before
+        assert run(capsys, [*argv, "--output", str(out_path)])[0] == 0
+        assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
 
 
 class TestFeatures:

@@ -53,15 +53,8 @@ def wav_pair(tmp_path):
 class TestConvertRequest:
     def test_accepts_defaults(self):
         req = ConvertRequest(source_path="a.wav", reference_path="b.wav")
-        assert req.output_path is None
-
-    def test_rejects_output_colliding_with_source(self):
-        with pytest.raises(ValueError, match="differ"):
-            ConvertRequest(source_path="a.wav", reference_path="b.wav", output_path="a.wav")
-
-    def test_rejects_output_colliding_with_reference(self):
-        with pytest.raises(ValueError, match="differ"):
-            ConvertRequest(source_path="a.wav", reference_path="b.wav", output_path="b.wav")
+        assert req.checkpoint_path is None and not req.use_identity
+        assert req.stream_cfg == StreamConfig()
 
     def test_rejects_checkpoint_plus_identity(self):
         with pytest.raises(ValueError, match="exclusive"):
@@ -103,27 +96,21 @@ class TestConvertOffline:
     def test_identity_round_trips_the_file_exactly(self, wav_pair, tmp_path):
         src, ref = wav_pair
         out_path = str(tmp_path / "out.wav")
-        req = ConvertRequest(source_path=src, reference_path=ref,
-                             output_path=out_path, use_identity=True)
-        out, rtf = convert_offline(req)
+        out, rtf = convert_offline(ConvertRequest(source_path=src, reference_path=ref, use_identity=True))
         assert isinstance(out, Waveform)
         assert rtf > 0.0
+        write_wav(out_path, out)
         assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
-
-    def test_without_output_path_writes_nothing(self, wav_pair, tmp_path):
-        src, ref = wav_pair
-        before = set(tmp_path.iterdir())
-        convert_offline(ConvertRequest(source_path=src, reference_path=ref, use_identity=True))
-        assert set(tmp_path.iterdir()) == before
 
 
 class TestConvertStreaming:
     def test_identity_round_trips_the_file_exactly(self, wav_pair, tmp_path):
         src, ref = wav_pair
         out_path = str(tmp_path / "out.wav")
-        req = ConvertRequest(source_path=src, reference_path=ref, output_path=out_path,
+        req = ConvertRequest(source_path=src, reference_path=ref,
                              stream_cfg=SMALL_STREAM, use_identity=True)
         out, report = convert_streaming(req)
+        write_wav(out_path, out)
         assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
         assert len(out) == 8000
 
@@ -182,6 +169,17 @@ class TestBench:
         req = ConvertRequest(source_path=src, reference_path=ref, use_identity=True)
         with pytest.raises(ValueError):
             bench(req, repeats=0)
+
+
+def test_entry_points_write_no_file(wav_pair, tmp_path):
+    # The audio is returned; writing it is the caller's business (the CLI).
+    src, ref = wav_pair
+    req = ConvertRequest(source_path=src, reference_path=ref, stream_cfg=SMALL_STREAM, use_identity=True)
+    before = set(tmp_path.iterdir())
+    convert_offline(req)
+    convert_streaming(req)
+    bench(req, repeats=1)
+    assert set(tmp_path.iterdir()) == before
 
 
 class TestLoadConverter:
