@@ -7,8 +7,9 @@ accounted-for latency. Training-data construction (synthetic pairs, role
 assignment, segment excision) and the in-scope loss terms live alongside.
 
 `__all__` is the surface that the command line, the demos and the
-benchmark use. The building blocks imported here but left out of it, such
-as `tensor_shapes` or `build_report`, are documented in their modules.
+benchmark use; `offline_run` and `stream_run` convert waveforms. The
+building blocks imported here but left out of it, such as `tensor_shapes`
+or `build_report`, are documented in their modules.
 """
 from .audio_io import SAMPLE_RATE, Waveform, read_wav, slice_pad, write_wav
 from .codec import CodecInterface, toy_codec, toy_decode, toy_encode
@@ -45,14 +46,6 @@ from .features import (
     mel_spectrogram,
     speaker_embedding,
 )
-from .pipeline import (
-    ConvertRequest,
-    bench,
-    convert_offline,
-    convert_streaming,
-    load_converter,
-    offline_run,
-)
 from .streaming import (
     LatencyReport,
     StreamConfig,
@@ -62,6 +55,7 @@ from .streaming import (
     crossfade,
     crossfade_weights,
     init_stream,
+    offline_run,
     stream_run,
     stream_step,
 )
@@ -107,10 +101,6 @@ __all__ = [
     "frame_count",
     "mel_spectrogram",
     "speaker_embedding",
-    "ConvertRequest",
-    "bench",
-    "convert_offline",
-    "convert_streaming",
     "offline_run",
     "LatencyReport",
     "StreamConfig",

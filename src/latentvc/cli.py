@@ -2,8 +2,9 @@
 
 Subcommands: convert (offline), stream, bench, features, make-pairs,
 sample-roles, eval-loss. Each prints a small JSON payload to stdout;
-`--report` additionally writes that payload to a file. The conversion
-entry points return audio, and `--output` is written here.
+`--report` additionally writes that payload to a file, which must not be
+an input or the output. This is the one place that reads paths and flags:
+the commands call `offline_run` and `stream_run` and write `--output`.
 
 Exit codes: 0 success, 2 invalid arguments, 3 unreadable or malformed
 input (audio files, checkpoints), 4 non-finite values detected in audio
@@ -13,17 +14,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import read_wav, write_wav
+from .audio_io import Waveform, read_wav, write_wav
+from .codec import toy_codec
+from .converter import ConverterConfig, ConverterFn, identity_converter, init_params, load_params, make_converter
 from .dataprep import RoleMode, RoleProbs, sample_mode, synth_pair
 from .errors import AudioFormatError, CheckpointError, NonFiniteError
 from .features import mel_spectrogram, speaker_embedding_from_mel
-from .pipeline import ConvertRequest, bench, convert_offline, convert_streaming
-from .streaming import StreamConfig
+from .streaming import StreamConfig, build_report, offline_run, stream_run
 from .trainer import loss_breakdown
 
 
@@ -38,60 +42,73 @@ def _add_convert_flags(p: argparse.ArgumentParser, output_required: bool) -> Non
     p.add_argument("--source", required=True, help="source WAV (mono 16-bit 16 kHz)")
     p.add_argument("--reference", required=True, help="reference WAV providing the target voice")
     p.add_argument("--output", required=output_required, default=None, help="converted WAV to write")
-    p.add_argument("--checkpoint", default=None, help="converter checkpoint; default is seeded init")
-    p.add_argument("--identity", action="store_true", help="bypass the converter (codec round trip only)")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--checkpoint", default=None, help="converter checkpoint; default is seeded init")
+    which.add_argument("--identity", action="store_true", help="bypass the converter (codec round trip only)")
     p.add_argument("--seed", type=int, default=0, help="seed for the default init converter")
-    p.add_argument("--report", default=None, help="also write the JSON payload to this path")
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
-    d = StreamConfig()
-    p.add_argument("--window-ms", type=float, default=d.window_ms)
-    p.add_argument("--current-ms", type=float, default=d.current_ms)
-    p.add_argument("--overlap-ms", type=float, default=d.overlap_ms)
-    p.add_argument("--future-ms", type=float, default=d.future_ms)
+    for f in fields(StreamConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default)
 
 
 def _stream_cfg(args: argparse.Namespace) -> StreamConfig:
-    return StreamConfig(
-        window_ms=args.window_ms,
-        current_ms=args.current_ms,
-        overlap_ms=args.overlap_ms,
-        future_ms=args.future_ms,
-    )
+    return StreamConfig(**{f.name: getattr(args, f.name) for f in fields(StreamConfig)})
 
 
-def _request(args: argparse.Namespace, cfg: StreamConfig | None = None) -> ConvertRequest:
-    if args.output is not None and args.output in (args.source, args.reference):
+def _converter(args: argparse.Namespace) -> ConverterFn:
+    """The identity, checkpoint or seeded-init converter that the flags select."""
+    if args.identity:
+        return identity_converter
+    if args.checkpoint is not None:
+        return make_converter(load_params(args.checkpoint))
+    return make_converter(init_params(ConverterConfig(), seed=args.seed))
+
+
+def _names_one_of(path: str | None, others: tuple[str | None, ...]) -> bool:
+    return path is not None and os.path.realpath(path) in {os.path.realpath(p) for p in others if p is not None}
+
+
+def _inputs(args: argparse.Namespace) -> tuple[Waveform, Waveform, ConverterFn]:
+    if _names_one_of(args.output, (args.source, args.reference, args.checkpoint)):
         raise ValueError("--output must differ from the input paths")
-    return ConvertRequest(
-        source_path=args.source,
-        reference_path=args.reference,
-        stream_cfg=cfg if cfg is not None else StreamConfig(),
-        checkpoint_path=args.checkpoint,
-        seed=args.seed,
-        use_identity=args.identity,
-    )
+    return read_wav(args.source), read_wav(args.reference), _converter(args)
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    out, rtf = convert_offline(_request(args))
+    source, reference, converter = _inputs(args)
+    out, rtf = offline_run(source, reference, toy_codec(), converter)
     clipped = write_wav(args.output, out)
     _emit({"rtf": rtf, "duration_s": out.duration_s, "output": args.output, "clipped_samples": clipped}, args.report)
     return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    out, report = convert_streaming(_request(args, _stream_cfg(args)))
+    cfg = _stream_cfg(args)
+    source, reference, converter = _inputs(args)
+    out, report = stream_run(source, reference, cfg, toy_codec(), converter)
     _emit({**report.to_dict(), "clipped_samples": write_wav(args.output, out)}, args.report)
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    out, report = bench(_request(args, _stream_cfg(args)), repeats=args.repeats)
+    """One warm-up stream, then `--repeats` measured ones pooled into one
+    report (rtf is their mean). The audio of every run is the same."""
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    cfg = _stream_cfg(args)
+    source, reference, converter = _inputs(args)
+    codec = toy_codec()
+    stream_run(source, reference, cfg, codec, converter)  # warm-up, discarded
+    runs = [stream_run(source, reference, cfg, codec, converter) for _ in range(args.repeats)]
+    reports = [report for _, report in runs]
+    mean_wall_s = float(np.mean([r.rtf for r in reports])) * source.duration_s
+    report = build_report(cfg, [t for r in reports for t in r.timings], mean_wall_s, source.duration_s)
+    payload = report.to_dict()
     if args.output is not None:
-        write_wav(args.output, out)
-    _emit(report.to_dict(), args.report)
+        payload["clipped_samples"] = write_wav(args.output, runs[-1][0])
+    _emit(payload, args.report)
     return 0
 
 
@@ -161,49 +178,47 @@ def _cmd_eval_loss(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="latentvc", description="Streaming voice conversion in a toy codec latent space")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--report", default=None, help="also write the JSON payload to this path")
 
-    p = sub.add_parser("convert", help="offline single-pass conversion")
+    p = sub.add_parser("convert", parents=[common], help="offline single-pass conversion")
     _add_convert_flags(p, output_required=True)
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("stream", help="chunkwise streaming conversion with a latency report")
+    p = sub.add_parser("stream", parents=[common], help="chunkwise streaming conversion with a latency report")
     _add_convert_flags(p, output_required=True)
     _add_geometry_flags(p)
     p.set_defaults(func=_cmd_stream)
 
-    p = sub.add_parser("bench", help="repeat streaming runs and report pooled timings")
+    p = sub.add_parser("bench", parents=[common], help="repeat streaming runs and report pooled timings")
     _add_convert_flags(p, output_required=False)
     _add_geometry_flags(p)
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("features", help="extract mel spectrogram and speaker embedding")
+    p = sub.add_parser("features", parents=[common], help="extract mel spectrogram and speaker embedding")
     p.add_argument("--source", required=True, help="input WAV")
     p.add_argument("--output", required=True, help="output path prefix (BASE.mel.f32, BASE.mel.json, BASE.spk.f32)")
     p.add_argument("--seed", type=int, default=0, help="speaker projection seed")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_features)
 
-    p = sub.add_parser("make-pairs", help="write a synthetic content-matched pair corpus")
+    p = sub.add_parser("make-pairs", parents=[common], help="write a synthetic content-matched pair corpus")
     p.add_argument("--output", required=True, help="corpus directory")
     p.add_argument("--count", type=int, default=4)
     p.add_argument("--duration-s", type=float, default=4.8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_make_pairs)
 
-    p = sub.add_parser("sample-roles", help="print empirical role-mode frequencies")
+    p = sub.add_parser("sample-roles", parents=[common], help="print empirical role-mode frequencies")
     p.add_argument("--draws", type=int, default=100_000)
     p.add_argument("--probs", default="0.4,0.2,0.4", help="p_standard,p_reconstruction,p_reversed")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_sample_roles)
 
-    p = sub.add_parser("eval-loss", help="print the loss breakdown between two WAVs")
+    p = sub.add_parser("eval-loss", parents=[common], help="print the loss breakdown between two WAVs")
     p.add_argument("--source", required=True, help="predicted/converted WAV")
     p.add_argument("--reference", required=True, help="target WAV")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_eval_loss)
 
     return parser
@@ -212,6 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        files = tuple(getattr(args, name, None) for name in ("source", "reference", "checkpoint", "output"))
+        if _names_one_of(args.report, files):
+            raise ValueError("--report must differ from the input and output paths")
         return args.func(args)
     except (AudioFormatError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

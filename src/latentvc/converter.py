@@ -525,14 +525,15 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
 
 
 def make_converter(params: ConverterParams) -> ConverterFn:
-    """Bind parameters into the (z, c, g) -> z callable the pipeline uses.
+    """Bind parameters into the (z, c, g) -> z callable that the runs use.
 
     The returned callable is single-stream. It holds no copy of the weights:
     it multiplies with views of `params.tensors` (see `forward` for
     row-major matrices), so building it allocates nothing. It holds one set
     of work buffers and the prepared state of the last reference it saw,
-    keyed on the shape, dtype and bytes of (c, g): chunk after chunk of a
-    stream reuses it, and a new or mutated reference recomputes it. Its
+    with a private copy of that (c, g) to compare shape, dtype and values
+    against: chunk after chunk of a stream reuses it without copying the
+    reference, and a new or mutated reference recomputes it. Its
     output is bitwise equal to `forward`. Calling it again while a call is
     running, from another thread or reentrantly, raises RuntimeError rather
     than corrupting the shared buffers; make a separate converter per
@@ -540,17 +541,19 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     """
     scratch: dict = {}
     busy = threading.Lock()
-    ref_key, ref_state = None, None
+    ref, ref_state = None, None
 
     def convert(z: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
-        nonlocal ref_key, ref_state
+        nonlocal ref, ref_state
         if not busy.acquire(blocking=False):
             raise RuntimeError("converter is single-stream: called while another call is running")
         try:
             c, g = np.asarray(c), np.asarray(g)
-            key = (c.shape, c.dtype.str, c.tobytes(), g.shape, g.dtype.str, g.tobytes())
-            if key != ref_key:
-                ref_state, ref_key = prepare(params, c, g), key
+            # array_equal is False for different shapes; a failed prepare
+            # leaves the previous reference and its state in place
+            if ref is None or any(a.dtype != b.dtype or not np.array_equal(a, b) for a, b in zip((c, g), ref)):
+                ref_state = prepare(params, c, g)
+                ref = c.copy(), g.copy()
             return _convert(params, ref_state, z, scratch)
         finally:
             busy.release()

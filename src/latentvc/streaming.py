@@ -11,6 +11,9 @@ with a cosine cross-fade to hide any seam.
 Latency splits into a model part (current + overlap + future: audio the
 model must wait for) and a compute part (per-chunk encode/convert/decode
 wall time); history is already-received past audio and costs nothing.
+
+`offline_run` is the single-pass counterpart over the whole utterance. Both
+take waveforms and return audio; only the command line touches files.
 """
 from __future__ import annotations
 
@@ -121,9 +124,10 @@ class LatencyReport:
 
     def to_dict(self) -> dict:
         """The JSON payload. Besides the fields, the per-chunk compute
-        (enc + convert + dec) gives its median and maximum, and
+        (enc + convert + dec) gives its median and maximum,
         `deadline_misses` counts the chunks whose compute took longer than
-        the current region they emit."""
+        the current region they emit, and `chunks` lists each chunk's
+        [enc, convert, dec] ms in order, so the late ones can be found."""
         totals = np.sum(self.timings, axis=1)
         return {
             "t_model_ms": self.t_model_ms,
@@ -143,6 +147,7 @@ class LatencyReport:
             "deadline_misses": int(np.count_nonzero(totals > self.t_current_ms)),
             "chunk_count": self.chunk_count,
             "rtf": self.rtf,
+            "chunks": [list(t) for t in self.timings],
         }
 
 
@@ -304,3 +309,28 @@ def stream_run(
     wall_s = time.perf_counter() - wall_start
     report = build_report(cfg, state.timings, wall_s, duration_s=source.duration_s)
     return Waveform(out), report
+
+
+def offline_run(
+    source: Waveform,
+    reference: Waveform,
+    codec: CodecInterface,
+    converter: ConverterFn,
+) -> tuple[Waveform, float]:
+    """Single-pass conversion of the whole utterance; returns (audio, rtf).
+
+    The source is zero-padded up to a codec-hop multiple for encoding and
+    the output trimmed back, so lengths match exactly.
+    """
+    n = len(source)
+    if n < 1:
+        raise ValueError("source must contain at least one sample")
+    wall_start = time.perf_counter()
+    c = mel_spectrogram(reference)
+    g = speaker_embedding_from_mel(c)
+    padded = slice_pad(source, 0, math.ceil(n / codec.hop) * codec.hop)
+    z = codec.encode(padded)
+    y = codec.decode(converter(z, c, g))
+    out = Waveform(y.samples[:n])
+    wall_s = time.perf_counter() - wall_start
+    return out, wall_s / source.duration_s

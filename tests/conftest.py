@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded signals and a tiny model configuration.
+"""Shared fixtures: seeded signals, tiny model configurations and a small
+stream geometry.
 
 The tiny configuration keeps every dimension small enough that brute-force
 oracles (python loops, float64) stay fast while still exercising multi-head
@@ -8,13 +9,20 @@ attention and multiple layers.
 import numpy as np
 import pytest
 
-from latentvc import ConverterConfig, Waveform, init_params
+from latentvc import ConverterConfig, StreamConfig, Waveform, init_params
 
 
 TINY = dict(
     d_latent=6, d_cond=4, d_spk=3, d_model=8,
     n_layers=2, n_heads=2, d_head=4, ffn_ratio=2,
 )
+
+# full-width latent/cond/spk dims so the toy codec plugs in, but a model
+# small enough that checkpoint tests stay fast
+WIDE_TINY = ConverterConfig(d_model=16, n_layers=1, n_heads=2, d_head=8, ffn_ratio=2)
+
+# a 192 ms window split 160 | 16 | 4 | 12 ms: 32 chunks for half a second
+SMALL_STREAM = StreamConfig(window_ms=192.0, current_ms=16.0, overlap_ms=4.0, future_ms=12.0)
 
 
 @pytest.fixture

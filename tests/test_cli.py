@@ -7,25 +7,29 @@ input files, 4 non-finite values in the pipeline.
 
 import json
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latentvc import (
-    ConvertRequest,
-    convert_offline,
-    convert_streaming,
+    identity_converter,
     init_params,
+    make_converter,
     mel_spectrogram,
+    offline_run,
     read_wav,
     save_params,
     speaker_embedding,
+    stream_run,
+    toy_codec,
     write_wav,
 )
+from latentvc import cli
 from latentvc.cli import main
 
-from conftest import make_wave
-from test_pipeline import SMALL_STREAM, WIDE_TINY
+from conftest import SMALL_STREAM, WIDE_TINY, make_wave
 
 GEOMETRY = [
     "--window-ms", "192", "--current-ms", "16", "--overlap-ms", "4", "--future-ms", "12",
@@ -45,6 +49,22 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if code == 0 else None)
+
+
+@pytest.fixture()
+def tiny_ckpt(tmp_path, rng):
+    """A WIDE_TINY checkpoint with nonzero gates, so its weights shape the output."""
+    params = init_params(WIDE_TINY, seed=7)
+    for name, arr in params.tensors.items():
+        if name.endswith("adaln.w2"):
+            arr += 0.05 * rng.standard_normal(arr.shape)
+    path = tmp_path / "model.ckpt"
+    save_params(path, params)
+    return str(path)
+
+
+def files_of(paths):
+    return {p: Path(p).read_bytes() for p in paths}
 
 
 class TestConvert:
@@ -92,6 +112,47 @@ class TestConvert:
         assert "differ" in capsys.readouterr().err
         assert all(np.array_equal(a, read_wav(p).samples) for a, p in zip(before, (src, ref)))
 
+    def test_output_colliding_with_checkpoint_exits_2(self, capsys, wavs, tiny_ckpt):
+        src, ref = wavs
+        before = files_of([src, ref, tiny_ckpt])
+        for command in ("convert", "stream", "bench"):
+            assert main([command, "--source", src, "--reference", ref,
+                         "--output", tiny_ckpt, "--checkpoint", tiny_ckpt]) == 2
+        assert "differ" in capsys.readouterr().err
+        assert files_of(before) == before
+
+    def test_report_colliding_with_a_file_exits_2(self, capsys, wavs, tmp_path):
+        # The report must name neither an input nor the output, however the
+        # path is spelled; the refusal comes before any file is touched.
+        src, ref = wavs
+        out = tmp_path / "out.wav"
+        out.write_bytes(b"an earlier output")
+        before = files_of([src, ref, out])
+        out = str(out)
+        cases = [
+            *[[command, "--source", src, "--reference", ref, "--output", out, "--identity", "--report", path]
+              for command in ("convert", "stream", "bench") for path in (src, ref, out)],
+            ["bench", "--source", src, "--reference", ref, "--identity", "--report", src],
+            ["convert", "--source", src, "--reference", ref, "--output", out, "--identity",
+             "--report", str(tmp_path / "." / "out.wav")],
+            *[["features", "--source", src, "--output", out, "--report", path] for path in (src, out)],
+            *[["eval-loss", "--source", src, "--reference", ref, "--report", path] for path in (src, ref)],
+        ]
+        for argv in cases:
+            assert main(argv) == 2, argv
+            assert "--report must differ" in capsys.readouterr().err
+        assert files_of(before) == before
+        assert set(tmp_path.iterdir()) == {tmp_path / name for name in ("src.wav", "ref.wav", "out.wav")}
+
+    def test_checkpoint_with_identity_exits_2(self, capsys, wavs, tmp_path, tiny_ckpt):
+        src, ref = wavs
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", "--source", src, "--reference", ref, "--output", str(tmp_path / "out.wav"),
+                  "--checkpoint", tiny_ckpt, "--identity"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
+
     def test_corrupt_checkpoint_exits_3(self, capsys, wavs, tmp_path):
         src, ref = wavs
         bad = tmp_path / "bad.ckpt"
@@ -132,11 +193,22 @@ class TestStream:
         assert code == 0
         assert set(payload) == {
             "t_model_ms", "t_current_ms", "t_overlap_ms", "t_future_ms",
-            "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf", "clipped_samples",
+            "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf", "chunks", "clipped_samples",
         }
         assert set(payload["t_compute_ms"]) == {"mean", "p50", "p95", "max", "enc", "convert", "dec"}
         assert payload["t_model_ms"] == pytest.approx(32.0)
-        assert payload["chunk_count"] == math.ceil(8000 / SMALL_STREAM.current_samples)
+        assert payload["chunk_count"] == math.ceil(8000 / SMALL_STREAM.current_samples) == len(payload["chunks"])
+        assert payload["t_latency_ms"] == pytest.approx(payload["t_model_ms"] + payload["t_compute_ms"]["mean"])
+        assert payload["rtf"] > 0.0
+
+    def test_identity_round_trips_the_file_exactly(self, capsys, wavs, tmp_path):
+        # A codec round trip moves int16 grid values by ~1e-12, far below
+        # half a quantization step, so the rewritten file is the same.
+        src, ref = wavs
+        out_path = str(tmp_path / "out.wav")
+        assert run(capsys, ["stream", "--source", src, "--reference", ref,
+                            "--output", out_path, "--identity", *GEOMETRY])[0] == 0
+        assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
 
     def test_default_geometry_reports_240ms_model_latency(self, capsys, wavs, tmp_path):
         src, ref = wavs
@@ -187,7 +259,7 @@ class TestClipCount:
         code, payload = run(capsys, ["convert", "--source", src, "--reference", ref,
                                      "--output", str(tmp_path / "out.wav"), "--identity"])
         assert code == 0
-        want = self.count_clipped(convert_offline(ConvertRequest(src, ref, use_identity=True))[0])
+        want = self.count_clipped(offline_run(read_wav(src), read_wav(ref), toy_codec(), identity_converter)[0])
         assert want > 0 and payload["clipped_samples"] == want
 
     def test_stream_payload_counts_clipped_samples(self, capsys, loud, tmp_path):
@@ -195,7 +267,16 @@ class TestClipCount:
         code, payload = run(capsys, ["stream", "--source", src, "--reference", ref,
                                      "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY])
         assert code == 0
-        out, _ = convert_streaming(ConvertRequest(src, ref, stream_cfg=SMALL_STREAM, use_identity=True))
+        out, _ = stream_run(read_wav(src), read_wav(ref), SMALL_STREAM, toy_codec(), identity_converter)
+        want = self.count_clipped(out)
+        assert want > 0 and payload["clipped_samples"] == want
+
+    def test_bench_payload_counts_clipped_samples(self, capsys, loud, tmp_path):
+        src, ref = loud
+        code, payload = run(capsys, ["bench", "--source", src, "--reference", ref, "--repeats", "1",
+                                     "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY])
+        assert code == 0
+        out, _ = stream_run(read_wav(src), read_wav(ref), SMALL_STREAM, toy_codec(), identity_converter)
         want = self.count_clipped(out)
         assert want > 0 and payload["clipped_samples"] == want
 
@@ -216,10 +297,83 @@ class TestBenchCommand:
         out_path = tmp_path / "out.wav"
         argv = ["bench", "--source", src, "--reference", ref, "--identity", "--repeats", "1", *GEOMETRY]
         before = set(tmp_path.iterdir())
-        assert run(capsys, argv)[0] == 0
+        code, payload = run(capsys, argv)
+        assert code == 0 and "clipped_samples" not in payload
         assert set(tmp_path.iterdir()) == before
-        assert run(capsys, [*argv, "--output", str(out_path)])[0] == 0
+        code, payload = run(capsys, [*argv, "--output", str(out_path)])
+        assert code == 0 and payload["clipped_samples"] == 0
         assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
+
+    def test_pools_deadline_misses_across_repeats(self, capsys, wavs, monkeypatch):
+        # Every 8th chunk takes over its 16 ms current region; a stream is
+        # 32 chunks, so each of the two measured runs has 4 late chunks.
+        calls = []
+
+        def slow_every_8th(z, c, g):
+            calls.append(None)
+            if len(calls) % 8 == 1:
+                time.sleep(0.03)
+            return z
+
+        monkeypatch.setattr(cli, "_converter", lambda args: slow_every_8th)
+        src, ref = wavs
+        code, payload = run(capsys, ["bench", "--source", src, "--reference", ref, "--repeats", "2", *GEOMETRY])
+        assert code == 0
+        totals = [sum(rec) for rec in payload["chunks"]]
+        assert len(calls) == 3 * 32 and len(totals) == payload["chunk_count"] == 2 * 32
+        assert payload["deadline_misses"] == sum(t > 16.0 for t in totals) >= 8
+        assert payload["t_compute_ms"]["max"] == max(totals) >= 30.0
+        assert payload["t_compute_ms"]["p50"] == float(np.median(totals))
+
+    def test_audio_matches_single_run(self, capsys, wavs, tmp_path, tiny_ckpt):
+        src, ref = wavs
+        paths = {command: str(tmp_path / f"{command}.wav") for command in ("stream", "bench")}
+        payloads = {}
+        for command, argv in (("stream", []), ("bench", ["--repeats", "2"])):
+            code, payloads[command] = run(capsys, [command, "--source", src, "--reference", ref, "--output",
+                                                   paths[command], "--checkpoint", tiny_ckpt, *argv, *GEOMETRY])
+            assert code == 0
+        single, benched = (read_wav(paths[command]).samples for command in ("stream", "bench"))
+        assert np.array_equal(single, benched) and not np.array_equal(single, read_wav(src).samples)
+        assert payloads["bench"]["clipped_samples"] == payloads["stream"]["clipped_samples"]
+
+    def test_zero_repeats_exits_2(self, capsys, wavs, tmp_path):
+        src, ref = wavs
+        assert main(["bench", "--source", src, "--reference", ref, "--identity", "--repeats", "0",
+                     "--output", str(tmp_path / "out.wav")]) == 2
+        assert "--repeats" in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
+
+
+class TestConverterFlags:
+    """The converter that --identity, --checkpoint or --seed selects."""
+
+    @staticmethod
+    def resolve(*flags):
+        return cli._converter(cli._build_parser().parse_args(
+            ["convert", "--source", "a.wav", "--reference", "b.wav", "--output", "o.wav", *flags]))
+
+    def test_identity_flag_selects_passthrough(self):
+        assert self.resolve("--identity") is identity_converter
+
+    def test_checkpoint_path_restores_saved_parameters(self, tiny_ckpt, rng):
+        conv = self.resolve("--checkpoint", tiny_ckpt)
+        z = rng.standard_normal((3, 1024))
+        c = rng.standard_normal((2, 128))
+        g = rng.standard_normal(192)
+        want = make_converter(init_params(WIDE_TINY, seed=7))  # same structure, zero gates
+        assert not np.array_equal(conv(z, c, g), want(z, c, g))
+        assert np.array_equal(conv(z, c, g), self.resolve("--checkpoint", tiny_ckpt)(z, c, g))
+
+    def test_default_is_a_seeded_full_model(self):
+        conv = self.resolve("--seed", "1")
+        assert conv is not identity_converter
+        z = np.zeros((2, 1024))
+        c = np.zeros((2, 128))
+        g = np.zeros(192)
+        y = conv(z, c, g)
+        assert y.shape == (2, 1024)
+        assert np.isfinite(y).all()
 
 
 class TestFeatures:

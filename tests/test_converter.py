@@ -688,17 +688,31 @@ class TestMakeConverter:
     @pytest.mark.parametrize("flags", [{}, {"update_cond_branch": False}, {"use_speaker_condition": False}],
                              ids=["default", "frozen", "no-speaker"])
     def test_warm_call_reuses_its_buffers(self, default_params, flags):
-        # After a call with the same shapes, what a call holds at its peak is
-        # its output and the reference's cache key. A work buffer allocated
-        # per call and alive when the output is made would show, as 16 KiB
-        # is far below the smallest, (d_model, T_c) = 56 KiB here.
+        # After a call with the same reference, what a call holds at its peak
+        # is its output and the bool temporaries of comparing (c, g) with the
+        # copy it keeps, one byte an element; a copy of the reference would
+        # not fit. A work buffer allocated per call and alive when the output
+        # is made would show, as 16 KiB is far below the smallest,
+        # (d_model, T_c) = 56 KiB here.
         params = ConverterParams(replace(default_params.cfg, **flags), default_params.tensors)
         r = np.random.default_rng(5)
         z, c, g = r.standard_normal((150, 1024)), r.standard_normal((28, 128)), r.standard_normal(192)
         conv = make_converter(params)
         conv(z, c, g)
         y, peak = traced_peak(conv, z, c, g)
-        assert peak < y.nbytes + c.nbytes + g.nbytes + 16 * 1024
+        assert peak < y.nbytes + c.size + g.size + 16 * 1024
+
+    def test_refused_reference_is_refused_again(self, tiny_params):
+        # A reference that prepare refuses must not become the cached one,
+        # or the next call with it would reuse the previous reference's state.
+        conv = make_converter(tiny_params)
+        z, c, g = tiny_inputs(1)
+        conv(z, c, g)
+        wide = np.zeros((3, TINY["d_cond"] + 1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="condition must be"):
+                conv(z, wide, g)
+        assert np.array_equal(conv(z, c, g), forward(tiny_params, z, c, g))
 
     def test_refuses_reentrant_call(self, tiny_params):
         conv = make_converter(tiny_params)

@@ -1,4 +1,5 @@
-"""Chunkwise streaming: window geometry, cross-fade math, step sequencing.
+"""Chunkwise streaming: window geometry, cross-fade math, step sequencing,
+and the single-pass offline run it is checked against.
 
 The stepping oracle rebuilds the whole chunk loop longhand (zero-padded
 window extraction, per-step gain, cosine blend written out with math.cos)
@@ -9,6 +10,7 @@ valid and invalid, and a subprocess checks that the runtime imports no
 scipy.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -30,13 +32,13 @@ from latentvc import (
     crossfade_weights,
     init_stream,
     mel_spectrogram,
+    offline_run,
     speaker_embedding,
     stream_run,
     stream_step,
     toy_codec,
     identity_converter,
 )
-from latentvc.pipeline import offline_run
 
 from conftest import make_wave
 
@@ -258,6 +260,32 @@ class TestStreamRun:
                        toy_codec(), identity_converter)
 
 
+class TestOfflineRun:
+    def test_identity_reproduces_input(self):
+        # 40000 samples is not a hop multiple, so pad-and-trim is exercised
+        src = make_wave(40000, seed=41)
+        ref = make_wave(8000, seed=42)
+        out, rtf = offline_run(src, ref, toy_codec(), identity_converter)
+        assert len(out) == 40000
+        assert np.max(np.abs(out.samples - src.samples)) < 1e-9
+        assert rtf > 0.0
+
+    def test_rejects_empty_source(self):
+        with pytest.raises(ValueError):
+            offline_run(Waveform(np.zeros(0)), make_wave(4096), toy_codec(), identity_converter)
+
+    def test_linear_converter_scales_audio(self):
+        # the codec is linear, so doubling latents doubles the waveform
+        src = make_wave(4096, seed=43)
+        ref = make_wave(4096, seed=44)
+
+        def doubler(z, c, g, **kw):
+            return 2.0 * z
+
+        out, _ = offline_run(src, ref, toy_codec(), doubler)
+        assert np.max(np.abs(out.samples - 2.0 * src.samples)) < 1e-9
+
+
 class TestInitStream:
     def test_precomputes_reference_features(self, short_wave):
         state = init_stream(short_wave)
@@ -297,7 +325,7 @@ class TestLatencyReport:
         rep = build_report(StreamConfig(), [(1.0, 2.0, 3.0)], wall_s=0.5, duration_s=1.0)
         d = rep.to_dict()
         assert set(d) == {"t_model_ms", "t_current_ms", "t_overlap_ms", "t_future_ms",
-                          "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf"}
+                          "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf", "chunks"}
         assert set(d["t_compute_ms"]) == {"mean", "p50", "p95", "max", "enc", "convert", "dec"}
 
     def test_to_dict_reads_p50_max_and_misses_from_the_timings(self):
@@ -309,6 +337,15 @@ class TestLatencyReport:
         assert d["t_compute_ms"]["max"] == 151.0
         assert d["deadline_misses"] == 2
         assert d["t_compute_ms"]["mean"] == pytest.approx(557.5 / 5)
+
+    def test_to_dict_lists_every_chunk_in_order(self):
+        # the records are the timings, so the late chunks can be named
+        timings = [(0.5, 10.0, 0.5), (1.0, 130.0, 1.0), (0.5, 119.0, 0.5), (2.0, 200.0, 2.0)]
+        d = build_report(StreamConfig(), timings, wall_s=0.5, duration_s=0.48).to_dict()
+        assert d["chunks"] == [list(t) for t in timings]
+        late = [k for k, rec in enumerate(d["chunks"]) if sum(rec) > d["t_current_ms"]]
+        assert late == [1, 3] and d["deadline_misses"] == len(late)
+        assert json.loads(json.dumps(d)) == d
 
 
 @st.composite
