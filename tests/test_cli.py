@@ -7,7 +7,6 @@ input files, 4 non-finite values in the pipeline.
 
 import json
 import math
-import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,6 @@ import pytest
 from latentvc import (
     identity_converter,
     init_params,
-    make_converter,
     mel_spectrogram,
     offline_run,
     read_wav,
@@ -26,14 +24,9 @@ from latentvc import (
     toy_codec,
     write_wav,
 )
-from latentvc import cli
 from latentvc.cli import main
 
-from conftest import SMALL_STREAM, WIDE_TINY, make_wave
-
-GEOMETRY = [
-    "--window-ms", "192", "--current-ms", "16", "--overlap-ms", "4", "--future-ms", "12",
-]
+from conftest import GEOMETRY, SMALL_STREAM, WIDE_TINY, make_wave, run_cli
 
 
 @pytest.fixture()
@@ -45,24 +38,6 @@ def wavs(tmp_path):
     return str(src), str(ref)
 
 
-def run(capsys, argv):
-    code = main(argv)
-    out = capsys.readouterr().out
-    return code, (json.loads(out) if code == 0 else None)
-
-
-@pytest.fixture()
-def tiny_ckpt(tmp_path, rng):
-    """A WIDE_TINY checkpoint with nonzero gates, so its weights shape the output."""
-    params = init_params(WIDE_TINY, seed=7)
-    for name, arr in params.tensors.items():
-        if name.endswith("adaln.w2"):
-            arr += 0.05 * rng.standard_normal(arr.shape)
-    path = tmp_path / "model.ckpt"
-    save_params(path, params)
-    return str(path)
-
-
 def files_of(paths):
     return {p: Path(p).read_bytes() for p in paths}
 
@@ -71,7 +46,7 @@ class TestConvert:
     def test_identity_writes_output_and_payload(self, capsys, wavs, tmp_path):
         src, ref = wavs
         out_path = str(tmp_path / "out.wav")
-        code, payload = run(capsys, [
+        code, payload = run_cli(capsys, [
             "convert", "--source", src, "--reference", ref,
             "--output", out_path, "--identity",
         ])
@@ -84,7 +59,7 @@ class TestConvert:
     def test_report_file_matches_stdout(self, capsys, wavs, tmp_path):
         src, ref = wavs
         report = tmp_path / "report.json"
-        code, payload = run(capsys, [
+        code, payload = run_cli(capsys, [
             "convert", "--source", src, "--reference", ref,
             "--output", str(tmp_path / "out.wav"), "--identity",
             "--report", str(report),
@@ -186,7 +161,7 @@ class TestConvert:
 class TestStream:
     def test_payload_is_a_latency_report(self, capsys, wavs, tmp_path):
         src, ref = wavs
-        code, payload = run(capsys, [
+        code, payload = run_cli(capsys, [
             "stream", "--source", src, "--reference", ref,
             "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY,
         ])
@@ -206,13 +181,13 @@ class TestStream:
         # half a quantization step, so the rewritten file is the same.
         src, ref = wavs
         out_path = str(tmp_path / "out.wav")
-        assert run(capsys, ["stream", "--source", src, "--reference", ref,
+        assert run_cli(capsys, ["stream", "--source", src, "--reference", ref,
                             "--output", out_path, "--identity", *GEOMETRY])[0] == 0
         assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
 
     def test_default_geometry_reports_240ms_model_latency(self, capsys, wavs, tmp_path):
         src, ref = wavs
-        code, payload = run(capsys, [
+        code, payload = run_cli(capsys, [
             "stream", "--source", src, "--reference", ref,
             "--output", str(tmp_path / "out.wav"), "--identity",
         ])
@@ -256,7 +231,7 @@ class TestClipCount:
 
     def test_convert_payload_counts_clipped_samples(self, capsys, loud, tmp_path):
         src, ref = loud
-        code, payload = run(capsys, ["convert", "--source", src, "--reference", ref,
+        code, payload = run_cli(capsys, ["convert", "--source", src, "--reference", ref,
                                      "--output", str(tmp_path / "out.wav"), "--identity"])
         assert code == 0
         want = self.count_clipped(offline_run(read_wav(src), read_wav(ref), toy_codec(), identity_converter)[0])
@@ -264,7 +239,7 @@ class TestClipCount:
 
     def test_stream_payload_counts_clipped_samples(self, capsys, loud, tmp_path):
         src, ref = loud
-        code, payload = run(capsys, ["stream", "--source", src, "--reference", ref,
+        code, payload = run_cli(capsys, ["stream", "--source", src, "--reference", ref,
                                      "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY])
         assert code == 0
         out, _ = stream_run(read_wav(src), read_wav(ref), SMALL_STREAM, toy_codec(), identity_converter)
@@ -273,7 +248,7 @@ class TestClipCount:
 
     def test_bench_payload_counts_clipped_samples(self, capsys, loud, tmp_path):
         src, ref = loud
-        code, payload = run(capsys, ["bench", "--source", src, "--reference", ref, "--repeats", "1",
+        code, payload = run_cli(capsys, ["bench", "--source", src, "--reference", ref, "--repeats", "1",
                                      "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY])
         assert code == 0
         out, _ = stream_run(read_wav(src), read_wav(ref), SMALL_STREAM, toy_codec(), identity_converter)
@@ -284,7 +259,7 @@ class TestClipCount:
 class TestBenchCommand:
     def test_pools_chunk_timings(self, capsys, wavs):
         src, ref = wavs
-        code, payload = run(capsys, [
+        code, payload = run_cli(capsys, [
             "bench", "--source", src, "--reference", ref, "--identity",
             "--repeats", "2", *GEOMETRY,
         ])
@@ -297,90 +272,19 @@ class TestBenchCommand:
         out_path = tmp_path / "out.wav"
         argv = ["bench", "--source", src, "--reference", ref, "--identity", "--repeats", "1", *GEOMETRY]
         before = set(tmp_path.iterdir())
-        code, payload = run(capsys, argv)
+        code, payload = run_cli(capsys, argv)
         assert code == 0 and "clipped_samples" not in payload
         assert set(tmp_path.iterdir()) == before
-        code, payload = run(capsys, [*argv, "--output", str(out_path)])
+        code, payload = run_cli(capsys, [*argv, "--output", str(out_path)])
         assert code == 0 and payload["clipped_samples"] == 0
         assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
-
-    def test_pools_deadline_misses_across_repeats(self, capsys, wavs, monkeypatch):
-        # Every 8th chunk takes over its 16 ms current region; a stream is
-        # 32 chunks, so each of the two measured runs has 4 late chunks.
-        calls = []
-
-        def slow_every_8th(z, c, g):
-            calls.append(None)
-            if len(calls) % 8 == 1:
-                time.sleep(0.03)
-            return z
-
-        monkeypatch.setattr(cli, "_converter", lambda args: slow_every_8th)
-        src, ref = wavs
-        code, payload = run(capsys, ["bench", "--source", src, "--reference", ref, "--repeats", "2", *GEOMETRY])
-        assert code == 0
-        totals = [sum(rec) for rec in payload["chunks"]]
-        assert len(calls) == 3 * 32 and len(totals) == payload["chunk_count"] == 2 * 32
-        assert payload["deadline_misses"] == sum(t > 16.0 for t in totals) >= 8
-        assert payload["t_compute_ms"]["max"] == max(totals) >= 30.0
-        assert payload["t_compute_ms"]["p50"] == float(np.median(totals))
-
-    def test_audio_matches_single_run(self, capsys, wavs, tmp_path, tiny_ckpt):
-        src, ref = wavs
-        paths = {command: str(tmp_path / f"{command}.wav") for command in ("stream", "bench")}
-        payloads = {}
-        for command, argv in (("stream", []), ("bench", ["--repeats", "2"])):
-            code, payloads[command] = run(capsys, [command, "--source", src, "--reference", ref, "--output",
-                                                   paths[command], "--checkpoint", tiny_ckpt, *argv, *GEOMETRY])
-            assert code == 0
-        single, benched = (read_wav(paths[command]).samples for command in ("stream", "bench"))
-        assert np.array_equal(single, benched) and not np.array_equal(single, read_wav(src).samples)
-        assert payloads["bench"]["clipped_samples"] == payloads["stream"]["clipped_samples"]
-
-    def test_zero_repeats_exits_2(self, capsys, wavs, tmp_path):
-        src, ref = wavs
-        assert main(["bench", "--source", src, "--reference", ref, "--identity", "--repeats", "0",
-                     "--output", str(tmp_path / "out.wav")]) == 2
-        assert "--repeats" in capsys.readouterr().err
-        assert not (tmp_path / "out.wav").exists()
-
-
-class TestConverterFlags:
-    """The converter that --identity, --checkpoint or --seed selects."""
-
-    @staticmethod
-    def resolve(*flags):
-        return cli._converter(cli._build_parser().parse_args(
-            ["convert", "--source", "a.wav", "--reference", "b.wav", "--output", "o.wav", *flags]))
-
-    def test_identity_flag_selects_passthrough(self):
-        assert self.resolve("--identity") is identity_converter
-
-    def test_checkpoint_path_restores_saved_parameters(self, tiny_ckpt, rng):
-        conv = self.resolve("--checkpoint", tiny_ckpt)
-        z = rng.standard_normal((3, 1024))
-        c = rng.standard_normal((2, 128))
-        g = rng.standard_normal(192)
-        want = make_converter(init_params(WIDE_TINY, seed=7))  # same structure, zero gates
-        assert not np.array_equal(conv(z, c, g), want(z, c, g))
-        assert np.array_equal(conv(z, c, g), self.resolve("--checkpoint", tiny_ckpt)(z, c, g))
-
-    def test_default_is_a_seeded_full_model(self):
-        conv = self.resolve("--seed", "1")
-        assert conv is not identity_converter
-        z = np.zeros((2, 1024))
-        c = np.zeros((2, 128))
-        g = np.zeros(192)
-        y = conv(z, c, g)
-        assert y.shape == (2, 1024)
-        assert np.isfinite(y).all()
 
 
 class TestFeatures:
     def test_writes_row_major_float32_sidecars(self, capsys, wavs, tmp_path):
         src, _ = wavs
         base = tmp_path / "feat" / "base"
-        code, payload = run(capsys, ["features", "--source", src, "--output", str(base)])
+        code, payload = run_cli(capsys, ["features", "--source", src, "--output", str(base)])
         assert code == 0
 
         w = read_wav(src)
@@ -399,7 +303,7 @@ class TestFeatures:
 class TestMakePairs:
     def test_writes_corpus_with_manifest(self, capsys, tmp_path):
         outdir = tmp_path / "corpus"
-        code, payload = run(capsys, [
+        code, payload = run_cli(capsys, [
             "make-pairs", "--output", str(outdir), "--count", "2", "--seed", "9",
         ])
         assert code == 0
@@ -427,14 +331,14 @@ class TestMakePairs:
 
 class TestSampleRoles:
     def test_reports_frequencies(self, capsys):
-        code, payload = run(capsys, ["sample-roles", "--draws", "2000", "--seed", "3"])
+        code, payload = run_cli(capsys, ["sample-roles", "--draws", "2000", "--seed", "3"])
         assert code == 0
         freqs = payload["frequencies"]
         assert set(freqs) == {"standard", "reconstruction", "reversed"}
         assert sum(freqs.values()) == pytest.approx(1.0)
 
     def test_degenerate_probs_are_exact(self, capsys):
-        code, payload = run(capsys, [
+        code, payload = run_cli(capsys, [
             "sample-roles", "--draws", "500", "--probs", "0,1,0",
         ])
         assert code == 0
@@ -455,14 +359,14 @@ class TestEvalLoss:
         w = make_wave(8000, seed=61, amp=0.2)
         write_wav(a, w)
         write_wav(b, w)
-        code, payload = run(capsys, ["eval-loss", "--source", str(a), "--reference", str(b)])
+        code, payload = run_cli(capsys, ["eval-loss", "--source", str(a), "--reference", str(b)])
         assert code == 0
         assert set(payload) == {"mel_recon", "spk_sim", "total", "weights"}
         assert payload["total"] == 0.0
 
     def test_different_files_score_positive(self, capsys, wavs):
         src, ref = wavs
-        code, payload = run(capsys, ["eval-loss", "--source", src, "--reference", ref])
+        code, payload = run_cli(capsys, ["eval-loss", "--source", src, "--reference", ref])
         assert code == 0
         assert payload["total"] > 0.0
         assert payload["total"] == pytest.approx(

@@ -1,5 +1,6 @@
-"""End-to-end conversion paths: request validation, offline and streaming
-runs over real files, the repeat-run benchmark, and converter resolution.
+"""End-to-end conversion paths: the offline and streaming engines over
+real files, the repeat-run benchmark (the CLI's bench command), and the
+converter the CLI's flags select.
 
 File-based identity checks rely on the int16 sample grid: a codec round
 trip perturbs grid values by ~1e-12, far below half a quantization step,
@@ -13,32 +14,20 @@ import numpy as np
 import pytest
 
 from latentvc import (
-    ConvertRequest,
-    ConverterConfig,
-    StreamConfig,
     Waveform,
-    bench,
-    convert_offline,
-    convert_streaming,
     identity_converter,
     init_params,
-    load_converter,
     make_converter,
     offline_run,
     read_wav,
-    save_params,
+    stream_run,
     toy_codec,
     write_wav,
 )
-from latentvc import pipeline
+from latentvc import cli
+from latentvc.cli import main
 
-from conftest import make_wave
-
-# full-width latent/cond/spk dims so the toy codec plugs in, but a model
-# small enough that checkpoint tests stay fast
-WIDE_TINY = ConverterConfig(d_model=16, n_layers=1, n_heads=2, d_head=8, ffn_ratio=2)
-
-SMALL_STREAM = StreamConfig(window_ms=192.0, current_ms=16.0, overlap_ms=4.0, future_ms=12.0)
+from conftest import GEOMETRY, SMALL_STREAM, WIDE_TINY, make_wave, run_cli
 
 
 @pytest.fixture()
@@ -50,20 +39,9 @@ def wav_pair(tmp_path):
     return str(src), str(ref)
 
 
-class TestConvertRequest:
-    def test_accepts_defaults(self):
-        req = ConvertRequest(source_path="a.wav", reference_path="b.wav")
-        assert req.checkpoint_path is None and not req.use_identity
-        assert req.stream_cfg == StreamConfig()
-
-    def test_rejects_checkpoint_plus_identity(self):
-        with pytest.raises(ValueError, match="exclusive"):
-            ConvertRequest(
-                source_path="a.wav",
-                reference_path="b.wav",
-                checkpoint_path="ckpt.bin",
-                use_identity=True,
-            )
+def read_pair(wav_pair):
+    src, ref = wav_pair
+    return read_wav(src), read_wav(ref)
 
 
 class TestOfflineRun:
@@ -94,31 +72,24 @@ class TestOfflineRun:
 
 class TestConvertOffline:
     def test_identity_round_trips_the_file_exactly(self, wav_pair, tmp_path):
-        src, ref = wav_pair
         out_path = str(tmp_path / "out.wav")
-        out, rtf = convert_offline(ConvertRequest(source_path=src, reference_path=ref, use_identity=True))
+        out, rtf = offline_run(*read_pair(wav_pair), toy_codec(), identity_converter)
         assert isinstance(out, Waveform)
         assert rtf > 0.0
         write_wav(out_path, out)
-        assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
+        assert np.array_equal(read_wav(out_path).samples, read_wav(wav_pair[0]).samples)
 
 
 class TestConvertStreaming:
     def test_identity_round_trips_the_file_exactly(self, wav_pair, tmp_path):
-        src, ref = wav_pair
         out_path = str(tmp_path / "out.wav")
-        req = ConvertRequest(source_path=src, reference_path=ref,
-                             stream_cfg=SMALL_STREAM, use_identity=True)
-        out, report = convert_streaming(req)
+        out, _ = stream_run(*read_pair(wav_pair), SMALL_STREAM, toy_codec(), identity_converter)
         write_wav(out_path, out)
-        assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
+        assert np.array_equal(read_wav(out_path).samples, read_wav(wav_pair[0]).samples)
         assert len(out) == 8000
 
     def test_report_geometry_and_chunk_count(self, wav_pair):
-        src, ref = wav_pair
-        req = ConvertRequest(source_path=src, reference_path=ref,
-                             stream_cfg=SMALL_STREAM, use_identity=True)
-        _, report = convert_streaming(req)
+        _, report = stream_run(*read_pair(wav_pair), SMALL_STREAM, toy_codec(), identity_converter)
         assert report.chunk_count == math.ceil(8000 / SMALL_STREAM.current_samples)
         assert report.t_model_ms == pytest.approx(32.0)
         assert report.t_latency_ms == pytest.approx(report.t_model_ms + report.t_compute_mean_ms)
@@ -126,15 +97,18 @@ class TestConvertStreaming:
 
 
 class TestBench:
-    def test_pools_timings_across_repeats(self, wav_pair):
-        src, ref = wav_pair
-        req = ConvertRequest(source_path=src, reference_path=ref,
-                             stream_cfg=SMALL_STREAM, use_identity=True)
-        steps = math.ceil(8000 / SMALL_STREAM.current_samples)
-        _, report = bench(req, repeats=2)
-        assert report.chunk_count == 2 * steps
+    """The bench command: one warm-up stream, then --repeats measured ones."""
 
-    def test_pools_deadline_misses_across_repeats(self, wav_pair, monkeypatch):
+    def test_pools_timings_across_repeats(self, capsys, wav_pair):
+        src, ref = wav_pair
+        steps = math.ceil(8000 / SMALL_STREAM.current_samples)
+        for repeats in (1, 3):
+            code, payload = run_cli(capsys, ["bench", "--source", src, "--reference", ref, "--identity",
+                                             "--repeats", str(repeats), *GEOMETRY])
+            assert code == 0
+            assert payload["chunk_count"] == len(payload["chunks"]) == repeats * steps
+
+    def test_pools_deadline_misses_across_repeats(self, capsys, wav_pair, monkeypatch):
         # Every 8th chunk takes over its 16 ms current region; a stream is
         # 32 chunks, so each of the two measured runs has 4 late chunks.
         calls = []
@@ -145,70 +119,71 @@ class TestBench:
                 time.sleep(0.03)
             return z
 
-        monkeypatch.setattr(pipeline, "load_converter", lambda req: slow_every_8th)
+        monkeypatch.setattr(cli, "_converter", lambda args: slow_every_8th)
         src, ref = wav_pair
-        req = ConvertRequest(source_path=src, reference_path=ref, stream_cfg=SMALL_STREAM)
-        _, report = bench(req, repeats=2)
-        d = report.to_dict()
-        totals = [sum(t) for t in report.timings]
-        assert len(calls) == 3 * 32 and len(totals) == 2 * 32
-        assert d["deadline_misses"] == sum(t > 16.0 for t in totals) >= 8
-        assert d["t_compute_ms"]["max"] == max(totals) >= 30.0
-        assert d["t_compute_ms"]["p50"] == float(np.median(totals))
+        code, payload = run_cli(capsys, ["bench", "--source", src, "--reference", ref, "--repeats", "2", *GEOMETRY])
+        assert code == 0
+        totals = [sum(rec) for rec in payload["chunks"]]
+        assert len(calls) == 3 * 32 and len(totals) == payload["chunk_count"] == 2 * 32
+        assert payload["deadline_misses"] == sum(t > 16.0 for t in totals) >= 8
+        assert payload["t_compute_ms"]["max"] == max(totals) >= 30.0
+        assert payload["t_compute_ms"]["p50"] == float(np.median(totals))
 
-    def test_audio_matches_single_run(self, wav_pair):
+    def test_audio_matches_single_run(self, capsys, wav_pair, tmp_path, tiny_ckpt):
         src, ref = wav_pair
-        req = ConvertRequest(source_path=src, reference_path=ref,
-                             stream_cfg=SMALL_STREAM, use_identity=True)
-        single, _ = convert_streaming(req)
-        benched, _ = bench(req, repeats=2)
-        assert np.array_equal(single.samples, benched.samples)
+        paths = {command: str(tmp_path / f"{command}.wav") for command in ("stream", "bench")}
+        payloads = {}
+        for command, argv in (("stream", []), ("bench", ["--repeats", "2"])):
+            code, payloads[command] = run_cli(capsys, [command, "--source", src, "--reference", ref, "--output",
+                                                       paths[command], "--checkpoint", tiny_ckpt, *argv, *GEOMETRY])
+            assert code == 0
+        single, benched = (read_wav(paths[command]).samples for command in ("stream", "bench"))
+        assert np.array_equal(single, benched) and not np.array_equal(single, read_wav(src).samples)
+        assert payloads["bench"]["clipped_samples"] == payloads["stream"]["clipped_samples"]
 
-    def test_rejects_zero_repeats(self, wav_pair):
+    def test_rejects_zero_repeats(self, capsys, wav_pair, tmp_path):
         src, ref = wav_pair
-        req = ConvertRequest(source_path=src, reference_path=ref, use_identity=True)
-        with pytest.raises(ValueError):
-            bench(req, repeats=0)
+        assert main(["bench", "--source", src, "--reference", ref, "--identity", "--repeats", "0",
+                     "--output", str(tmp_path / "out.wav")]) == 2
+        assert "--repeats" in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
 
 
-def test_entry_points_write_no_file(wav_pair, tmp_path):
-    # The audio is returned; writing it is the caller's business (the CLI).
+def test_entry_points_write_no_file(capsys, wav_pair, tmp_path, monkeypatch):
+    # The engine returns audio and bench writes it only when given --output,
+    # so nothing appears here, under a relative path either.
     src, ref = wav_pair
-    req = ConvertRequest(source_path=src, reference_path=ref, stream_cfg=SMALL_STREAM, use_identity=True)
+    monkeypatch.chdir(tmp_path)
     before = set(tmp_path.iterdir())
-    convert_offline(req)
-    convert_streaming(req)
-    bench(req, repeats=1)
+    offline_run(*read_pair(wav_pair), toy_codec(), identity_converter)
+    stream_run(*read_pair(wav_pair), SMALL_STREAM, toy_codec(), identity_converter)
+    assert run_cli(capsys, ["bench", "--source", src, "--reference", ref, "--identity",
+                            "--repeats", "1", *GEOMETRY])[0] == 0
     assert set(tmp_path.iterdir()) == before
 
 
 class TestLoadConverter:
+    """The converter that --identity, --checkpoint or --seed selects."""
+
+    @staticmethod
+    def resolve(*flags):
+        return cli._converter(cli._build_parser().parse_args(
+            ["convert", "--source", "a.wav", "--reference", "b.wav", "--output", "o.wav", *flags]))
+
     def test_identity_flag_selects_passthrough(self):
-        req = ConvertRequest(source_path="a.wav", reference_path="b.wav", use_identity=True)
-        assert load_converter(req) is identity_converter
+        assert self.resolve("--identity") is identity_converter
 
-    def test_checkpoint_path_restores_saved_parameters(self, tmp_path, rng):
-        params = init_params(WIDE_TINY, seed=7)
-        # nonzero gates so the loaded weights actually shape the output
-        for name, arr in params.tensors.items():
-            if name.endswith("adaln.w2"):
-                arr += 0.05 * rng.standard_normal(arr.shape)
-        ckpt = tmp_path / "model.ckpt"
-        save_params(ckpt, params)
-
-        req = ConvertRequest(source_path="a.wav", reference_path="b.wav",
-                             checkpoint_path=str(ckpt))
-        conv = load_converter(req)
+    def test_checkpoint_path_restores_saved_parameters(self, tiny_ckpt, rng):
+        conv = self.resolve("--checkpoint", tiny_ckpt)
         z = rng.standard_normal((3, 1024))
         c = rng.standard_normal((2, 128))
         g = rng.standard_normal(192)
         want = make_converter(init_params(WIDE_TINY, seed=7))  # same structure, zero gates
         assert not np.array_equal(conv(z, c, g), want(z, c, g))
-        assert np.array_equal(conv(z, c, g), load_converter(req)(z, c, g))
+        assert np.array_equal(conv(z, c, g), self.resolve("--checkpoint", tiny_ckpt)(z, c, g))
 
     def test_default_is_a_seeded_full_model(self):
-        req = ConvertRequest(source_path="a.wav", reference_path="b.wav", seed=1)
-        conv = load_converter(req)
+        conv = self.resolve("--seed", "1")
         assert conv is not identity_converter
         z = np.zeros((2, 1024))
         c = np.zeros((2, 128))

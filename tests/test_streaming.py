@@ -1,5 +1,4 @@
-"""Chunkwise streaming: window geometry, cross-fade math, step sequencing,
-and the single-pass offline run it is checked against.
+"""Chunkwise streaming: window geometry, cross-fade math, step sequencing.
 
 The stepping oracle rebuilds the whole chunk loop longhand (zero-padded
 window extraction, per-step gain, cosine blend written out with math.cos)
@@ -258,32 +257,6 @@ class TestStreamRun:
         with pytest.raises(ValueError):
             stream_run(Waveform(np.zeros(0)), short_wave, small_cfg(),
                        toy_codec(), identity_converter)
-
-
-class TestOfflineRun:
-    def test_identity_reproduces_input(self):
-        # 40000 samples is not a hop multiple, so pad-and-trim is exercised
-        src = make_wave(40000, seed=41)
-        ref = make_wave(8000, seed=42)
-        out, rtf = offline_run(src, ref, toy_codec(), identity_converter)
-        assert len(out) == 40000
-        assert np.max(np.abs(out.samples - src.samples)) < 1e-9
-        assert rtf > 0.0
-
-    def test_rejects_empty_source(self):
-        with pytest.raises(ValueError):
-            offline_run(Waveform(np.zeros(0)), make_wave(4096), toy_codec(), identity_converter)
-
-    def test_linear_converter_scales_audio(self):
-        # the codec is linear, so doubling latents doubles the waveform
-        src = make_wave(4096, seed=43)
-        ref = make_wave(4096, seed=44)
-
-        def doubler(z, c, g, **kw):
-            return 2.0 * z
-
-        out, _ = offline_run(src, ref, toy_codec(), doubler)
-        assert np.max(np.abs(out.samples - 2.0 * src.samples)) < 1e-9
 
 
 class TestInitStream:
