@@ -65,8 +65,6 @@ from .trainer import (
     embedding_mse,
     loss_breakdown,
     mel_l1,
-    mel_recon_loss,
-    speaker_sim_loss,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Mono 16 kHz 16-bit PCM WAV I/O and sample-domain slicing primitives.
 
 Everything downstream works on `Waveform` objects: float64 samples nominally
-in [-1, 1] at a fixed 16 kHz rate. Resampling and multi-channel audio are
-deliberately unsupported.
+in [-1, 1] at one fixed rate, 16 kHz (a class constant, not a field).
+Resampling and multi-channel audio are deliberately unsupported.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import logging
 import wave
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,10 +24,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Waveform:
-    """A mono audio signal: float samples plus their sample rate."""
+    """A mono 16 kHz audio signal: its float samples."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
+    sample_rate: ClassVar[int] = SAMPLE_RATE
 
     def __post_init__(self) -> None:
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
@@ -65,7 +66,7 @@ def read_wav(path: str | Path) -> Waveform:
     if rate != SAMPLE_RATE:
         raise AudioFormatError(f"{path}: sample rate {rate}, only {SAMPLE_RATE} Hz is supported")
     pcm = np.frombuffer(raw, dtype="<i2")
-    return Waveform(pcm.astype(np.float64) / _PCM_SCALE, rate)
+    return Waveform(pcm.astype(np.float64) / _PCM_SCALE)
 
 
 def write_wav(path: str | Path, w: Waveform) -> int:
@@ -75,8 +76,6 @@ def write_wav(path: str | Path, w: Waveform) -> int:
     quantization step (1/32768). Returns the number of clipped samples,
     which is also logged.
     """
-    if w.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"pipeline waveforms are {SAMPLE_RATE} Hz, got {w.sample_rate}")
     hi = 32767.0 / _PCM_SCALE
     clipped = int(np.count_nonzero((w.samples < -1.0) | (w.samples > hi)))
     if clipped:
@@ -106,4 +105,4 @@ def slice_pad(w: Waveform, start: int, length: int) -> Waveform:
     hi = min(start + length, len(w))
     if hi > lo:
         out[lo - start : hi - start] = w.samples[lo:hi]
-    return Waveform(out, w.sample_rate)
+    return Waveform(out)

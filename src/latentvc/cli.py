@@ -3,8 +3,9 @@
 Subcommands: convert (offline), stream, bench, features, make-pairs,
 sample-roles, eval-loss. Each prints a small JSON payload to stdout;
 `--report` additionally writes that payload to a file, which must not be
-an input or the output. This is the one place that reads paths and flags:
-the commands call `offline_run` and `stream_run` and write `--output`.
+an input or a file the command writes. This is the one place that reads
+paths and flags: the commands call `offline_run` and `stream_run` and
+write `--output`.
 
 Exit codes: 0 success, 2 invalid arguments, 3 unreadable or malformed
 input (audio files, checkpoints), 4 non-finite values detected in audio
@@ -66,7 +67,7 @@ def _converter(args: argparse.Namespace) -> ConverterFn:
     return make_converter(init_params(ConverterConfig(), seed=args.seed))
 
 
-def _names_one_of(path: str | None, others: tuple[str | None, ...]) -> bool:
+def _names_one_of(path: str | None, others: tuple[str | Path | None, ...]) -> bool:
     return path is not None and os.path.realpath(path) in {os.path.realpath(p) for p in others if p is not None}
 
 
@@ -113,20 +114,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
+    paths = tuple(Path(args.output + ext) for ext in (".mel.f32", ".mel.json", ".spk.f32"))
+    if _names_one_of(args.report, paths):
+        raise ValueError("--report must differ from the files that features writes")
     w = read_wav(args.source)
     mel = mel_spectrogram(w)
-    spk = speaker_embedding_from_mel(mel, seed=args.seed)
-    base = Path(args.output)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    Path(f"{base}.mel.f32").write_bytes(np.ascontiguousarray(mel, dtype="<f4").tobytes())
-    Path(f"{base}.mel.json").write_text(json.dumps({"rows": int(mel.shape[0]), "cols": int(mel.shape[1])}) + "\n")
-    Path(f"{base}.spk.f32").write_bytes(np.ascontiguousarray(spk, dtype="<f4").tobytes())
+    spk = speaker_embedding_from_mel(mel)
+    mel_path, meta_path, spk_path = paths
+    mel_path.parent.mkdir(parents=True, exist_ok=True)
+    mel_path.write_bytes(np.ascontiguousarray(mel, dtype="<f4").tobytes())
+    meta_path.write_text(json.dumps({"rows": int(mel.shape[0]), "cols": int(mel.shape[1])}) + "\n")
+    spk_path.write_bytes(np.ascontiguousarray(spk, dtype="<f4").tobytes())
     _emit({"mel_rows": int(mel.shape[0]), "mel_cols": int(mel.shape[1]), "spk_dim": int(spk.shape[0])}, args.report)
     return 0
 
 
 def _cmd_make_pairs(args: argparse.Namespace) -> int:
     outdir = Path(args.output)
+    if args.report is not None and Path(os.path.realpath(args.report)).is_relative_to(os.path.realpath(outdir)):
+        raise ValueError("--report must differ from the files that make-pairs writes: it is inside --output")
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     manifest = []
@@ -170,7 +176,7 @@ def _cmd_sample_roles(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_loss(args: argparse.Namespace) -> int:
-    lb = loss_breakdown(read_wav(args.source), read_wav(args.reference), seed=args.seed)
+    lb = loss_breakdown(read_wav(args.source), read_wav(args.reference))
     _emit(lb.to_dict(), args.report)
     return 0
 
@@ -199,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", parents=[common], help="extract mel spectrogram and speaker embedding")
     p.add_argument("--source", required=True, help="input WAV")
     p.add_argument("--output", required=True, help="output path prefix (BASE.mel.f32, BASE.mel.json, BASE.spk.f32)")
-    p.add_argument("--seed", type=int, default=0, help="speaker projection seed")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("make-pairs", parents=[common], help="write a synthetic content-matched pair corpus")
@@ -218,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-loss", parents=[common], help="print the loss breakdown between two WAVs")
     p.add_argument("--source", required=True, help="predicted/converted WAV")
     p.add_argument("--reference", required=True, help="target WAV")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval_loss)
 
     return parser

@@ -43,7 +43,7 @@ import mmap
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -100,11 +100,6 @@ _OUT_MAJOR = frozenset(("src_in.w", "cond_in.w", "src_out.w", "qkv.w", "attn_out
 
 def _storage_order(name: str) -> str:
     return "F" if ".".join(name.split(".")[-2:]) in _OUT_MAJOR else "C"
-
-
-# Structural fields that fix tensor shapes; the two ablation flags are
-# runtime switches and do not participate in checkpoint compatibility.
-_SHAPE_FIELDS = ("d_latent", "d_cond", "d_spk", "d_model", "n_layers", "n_heads", "d_head", "ffn_ratio")
 
 
 def tensor_shapes(cfg: ConverterConfig, version: int = CHECKPOINT_VERSION) -> dict[str, tuple[int, ...]]:
@@ -168,8 +163,8 @@ def _live(name: str, t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return t[..., -shape[-1] :] if ".qkv." in name else np.ascontiguousarray(t[..., : shape[-1]])
 
 
-def init_params(cfg: ConverterConfig, seed: int, dtype=np.float32) -> ConverterParams:
-    """Glorot-uniform weights, zero biases, zero adaptive-norm output layers.
+def init_params(cfg: ConverterConfig, seed: int) -> ConverterParams:
+    """Glorot-uniform float32 weights, zero biases, zero adaptive-norm output layers.
 
     The zeroed `adaln.w2`/`adaln.b2` make all six modulation vectors zero at
     init, so every block starts as the identity on both branches. Storage
@@ -187,7 +182,7 @@ def init_params(cfg: ConverterConfig, seed: int, dtype=np.float32) -> ConverterP
             limit = np.sqrt(6.0 / (full[0] + full[1]))
             w = rng.uniform(-limit, limit, size=full)
         if name in shapes:
-            tensors[name] = _live(name, w, shapes[name]).astype(dtype, order=order)
+            tensors[name] = _live(name, w, shapes[name]).astype(np.float32, order=order)
     return ConverterParams(cfg=cfg, tensors=tensors)
 
 
@@ -201,11 +196,11 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x * x * x)))
 
 
-def layer_norm(x: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
-    """Parameter-free layer norm over the last axis: (x - mean)/sqrt(var + eps)."""
+def layer_norm(x: np.ndarray) -> np.ndarray:
+    """Parameter-free layer norm over the last axis: (x - mean)/sqrt(var + LN_EPS)."""
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    return (x - mu) / np.sqrt(var + LN_EPS)
 
 
 def sinusoidal_positions(positions: np.ndarray, d_model: int) -> np.ndarray:
@@ -633,12 +628,11 @@ def save_params(path: str | Path, params: ConverterParams) -> None:
 _LOAD_ROWS = 32
 
 
-def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> ConverterParams:
+def load_params(path: str | Path) -> ConverterParams:
     """Load a checkpoint; validate magic, version, shapes, offsets and size.
 
-    If `cfg` is given, its structural fields must match the file and its
-    runtime flags (the two ablation switches) take precedence over the
-    stored ones.
+    The config is the one stored in the file. To change the ablation
+    switches, apply `dataclasses.replace` to the result and its `cfg`.
 
     The header and the whole manifest are checked against the file size
     before any tensor is touched: each offset must be the one `save_params`
@@ -676,17 +670,6 @@ def load_params(path: str | Path, cfg: ConverterConfig | None = None) -> Convert
             file_cfg = ConverterConfig(**header["config"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: invalid config in header ({exc})") from exc
-        if cfg is not None:
-            for fld in _SHAPE_FIELDS:
-                if getattr(cfg, fld) != getattr(file_cfg, fld):
-                    raise CheckpointError(
-                        f"{path}: shape mismatch on {fld} (file {getattr(file_cfg, fld)}, requested {getattr(cfg, fld)})"
-                    )
-            file_cfg = replace(
-                file_cfg,
-                update_cond_branch=cfg.update_cond_branch,
-                use_speaker_condition=cfg.use_speaker_condition,
-            )
 
         shapes = tensor_shapes(file_cfg, version)
         manifest = header.get("manifest")

@@ -6,8 +6,8 @@ HTK-style triangular filters spanning 0-8000 Hz, natural log with a 1e-5
 power floor.
 
 The speaker encoder is a deterministic stand-in for a learned model: mel
-statistics pooling (per-bin mean and std over time) followed by a fixed
-seeded random projection to 192 dims and L2 normalization.
+statistics pooling (per-bin mean and std over time), one fixed random
+projection to 192 dims that every caller shares, and L2 normalization.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ FMIN = 0.0
 FMAX = 8000.0
 LOG_FLOOR = 1e-5
 SPK_DIM = 192
-DEFAULT_SEED = 0
 
 
 def hz_to_mel(f):
@@ -89,31 +88,30 @@ def mel_spectrogram(w: Waveform) -> np.ndarray:
     return np.log(np.maximum(mel_power, LOG_FLOOR))
 
 
-@lru_cache(maxsize=8)
-def speaker_projection(seed: int) -> np.ndarray:
-    """Fixed (192, 256) projection, Glorot-uniform from the seeded PRNG."""
+@lru_cache(maxsize=1)
+def speaker_projection() -> np.ndarray:
+    """The fixed (192, 256) projection, Glorot-uniform from `default_rng(0)`."""
     limit = np.sqrt(6.0 / (SPK_DIM + 2 * N_MELS))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     proj = rng.uniform(-limit, limit, size=(SPK_DIM, 2 * N_MELS))
     proj.flags.writeable = False
     return proj
 
 
-def speaker_embedding(w: Waveform, seed: int = DEFAULT_SEED) -> np.ndarray:
+def speaker_embedding(w: Waveform) -> np.ndarray:
     """192-dim unit-norm speaker vector from mel statistics pooling.
 
     Pools the log-mel to [per-bin mean; per-bin std over time] (256 dims),
-    applies the seeded projection, and L2-normalizes. Deterministic for a
-    given (input, seed).
+    applies the fixed projection, and L2-normalizes. Deterministic.
     """
-    return speaker_embedding_from_mel(mel_spectrogram(w), seed)
+    return speaker_embedding_from_mel(mel_spectrogram(w))
 
 
-def speaker_embedding_from_mel(mel: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:
+def speaker_embedding_from_mel(mel: np.ndarray) -> np.ndarray:
     """`speaker_embedding` of the waveform whose log-mel is `mel`, for callers
     that already hold it."""
     pooled = np.concatenate([mel.mean(axis=0), mel.std(axis=0)])
-    raw = speaker_projection(seed) @ pooled
+    raw = speaker_projection() @ pooled
     norm = np.linalg.norm(raw)
     if norm == 0.0:
         raise ValueError("degenerate input: speaker embedding has zero norm")

@@ -24,12 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import SAMPLE_RATE, Waveform, slice_pad
-from .codec import CodecInterface
+from .codec import HOP, CodecInterface
 from .converter import ConverterFn
 from .errors import NonFiniteError
 from .features import mel_spectrogram, speaker_embedding_from_mel
-
-CODEC_HOP = 256
 
 
 def _ms_to_samples(ms: float, what: str) -> int:
@@ -68,9 +66,9 @@ class StreamConfig:
             )
         for name in ("window_ms", "current_ms", "overlap_ms", "future_ms"):
             _ms_to_samples(getattr(self, name), name)
-        if self.window_samples % CODEC_HOP != 0:
+        if self.window_samples % HOP != 0:
             raise ValueError(
-                f"window of {self.window_samples} samples is not a multiple of the codec hop {CODEC_HOP}"
+                f"window of {self.window_samples} samples is not a multiple of the codec hop {HOP}"
             )
 
     @property
@@ -216,10 +214,10 @@ class StreamState:
     timings: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def init_stream(reference: Waveform, seed: int = 0) -> StreamState:
+def init_stream(reference: Waveform) -> StreamState:
     """Precompute the conditioning features from the reference once."""
     mel = mel_spectrogram(reference)
-    return StreamState(cond_mel=mel, spk=speaker_embedding_from_mel(mel, seed=seed))
+    return StreamState(cond_mel=mel, spk=speaker_embedding_from_mel(mel))
 
 
 def stream_step(

@@ -5,7 +5,8 @@ and MSE between speaker embeddings (similarity). Both are closed-form in
 their direct inputs, so each returns its value together with an analytic
 gradient w.r.t. that input (the predicted mel matrix, the predicted
 embedding). Gradients through the feature extractors or the converter are
-out of scope; no autodiff here.
+out of scope; no autodiff here. `loss_breakdown` scores two waveforms with
+both terms, as the `eval-loss` command reports them.
 
 `assemble_supervision` turns one cropped training example into the tensors
 a training step would consume: source latents, conditioning features from
@@ -46,24 +47,6 @@ def embedding_mse(pred_emb: np.ndarray, target_emb: np.ndarray) -> tuple[float, 
     return loss, 2.0 * diff / diff.size
 
 
-def _mels(pred: Waveform, target: Waveform) -> tuple[np.ndarray, np.ndarray]:
-    if len(pred) != len(target):
-        raise ValueError(f"waveform lengths differ: {len(pred)} vs {len(target)}")
-    return _features.mel_spectrogram(pred), _features.mel_spectrogram(target)
-
-
-def mel_recon_loss(pred: Waveform, target: Waveform) -> tuple[float, np.ndarray]:
-    """L1 mel distance between two waveforms; gradient w.r.t. the predicted mel."""
-    return mel_l1(*_mels(pred, target))
-
-
-def speaker_sim_loss(pred: Waveform, target: Waveform, seed: int = 0) -> tuple[float, np.ndarray]:
-    """Embedding MSE between two waveforms; gradient w.r.t. the predicted embedding."""
-    e_p = _features.speaker_embedding(pred, seed=seed)
-    e_t = _features.speaker_embedding(target, seed=seed)
-    return embedding_mse(e_p, e_t)
-
-
 @dataclass(frozen=True)
 class LossBreakdown:
     mel_recon: float
@@ -92,16 +75,18 @@ class LossBreakdown:
 def loss_breakdown(
     pred: Waveform,
     target: Waveform,
-    seed: int = 0,
     lambda_mel: float = 1.0,
     lambda_spk: float = 1.0,
 ) -> LossBreakdown:
-    """Both loss terms and their weighted total, from one mel per waveform."""
-    mel_p, mel_t = _mels(pred, target)
+    """`mel_l1` of two equal-length waveforms' log-mels, `embedding_mse` of
+    their speaker embeddings, and the weighted total; one mel per waveform."""
+    if len(pred) != len(target):
+        raise ValueError(f"waveform lengths differ: {len(pred)} vs {len(target)}")
+    mel_p, mel_t = _features.mel_spectrogram(pred), _features.mel_spectrogram(target)
     mel, _ = mel_l1(mel_p, mel_t)
     spk, _ = embedding_mse(
-        _features.speaker_embedding_from_mel(mel_p, seed=seed),
-        _features.speaker_embedding_from_mel(mel_t, seed=seed),
+        _features.speaker_embedding_from_mel(mel_p),
+        _features.speaker_embedding_from_mel(mel_t),
     )
     return LossBreakdown(
         mel_recon=mel,

@@ -49,6 +49,12 @@ class TestWaveform:
         assert len(w) == 32000
         assert w.duration_s == pytest.approx(2.0)
 
+    def test_rate_is_a_class_constant(self):
+        # every waveform is 16 kHz; one at another rate cannot be built
+        assert Waveform(np.zeros(4)).sample_rate == Waveform.sample_rate == SAMPLE_RATE
+        with pytest.raises(TypeError):
+            Waveform(np.zeros(4), 8000)
+
 
 class TestWavRoundTrip:
     def test_int16_grid_exact(self, tmp_path):

@@ -97,9 +97,12 @@ class TestConvert:
         assert files_of(before) == before
 
     def test_report_colliding_with_a_file_exits_2(self, capsys, wavs, tmp_path):
-        # The report must name neither an input nor the output, however the
-        # path is spelled; the refusal comes before any file is touched.
+        # The report must name neither an input nor a file the command
+        # writes (the output, a features file, anything in the make-pairs
+        # directory), however the path is spelled; the refusal comes before
+        # any file is touched or any directory made.
         src, ref = wavs
+        base, corpus = str(tmp_path / "feat" / "base"), tmp_path / "corpus"
         out = tmp_path / "out.wav"
         out.write_bytes(b"an earlier output")
         before = files_of([src, ref, out])
@@ -111,6 +114,11 @@ class TestConvert:
             ["convert", "--source", src, "--reference", ref, "--output", out, "--identity",
              "--report", str(tmp_path / "." / "out.wav")],
             *[["features", "--source", src, "--output", out, "--report", path] for path in (src, out)],
+            *[["features", "--source", src, "--output", base, "--report", base + ext]
+              for ext in (".mel.f32", ".mel.json", ".spk.f32")],
+            ["features", "--source", src, "--output", base, "--report", str(tmp_path / "feat" / "." / "base.mel.json")],
+            *[["make-pairs", "--output", str(corpus), "--count", "1", "--report", str(path)]
+              for path in (corpus / "manifest.json", corpus / "pair_000_real.wav", corpus / "sub" / "r.json")],
             *[["eval-loss", "--source", src, "--reference", ref, "--report", path] for path in (src, ref)],
         ]
         for argv in cases:
@@ -289,7 +297,7 @@ class TestFeatures:
 
         w = read_wav(src)
         mel = mel_spectrogram(w)
-        spk = speaker_embedding(w, seed=0)
+        spk = speaker_embedding(w)
         assert payload == {"mel_rows": mel.shape[0], "mel_cols": 128, "spk_dim": 192}
 
         meta = json.loads((tmp_path / "feat" / "base.mel.json").read_text())

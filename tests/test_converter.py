@@ -1060,21 +1060,3 @@ class TestCheckpoint:
             [*real_fstat(fd)[:6], full, *real_fstat(fd)[7:]]))
         with pytest.raises(CheckpointError, match="short read in tensor layers.1.src.ffn.w1"):
             load_params(p)
-
-    def test_cfg_structural_mismatch(self, tiny_params, tmp_path):
-        p = tmp_path / "m.lvc"
-        save_params(p, tiny_params)
-        other = ConverterConfig(**{**TINY, "n_layers": 3})
-        with pytest.raises(CheckpointError):
-            load_params(p, cfg=other)
-
-    def test_cfg_flag_override(self, tiny_params, tmp_path):
-        p = tmp_path / "m.lvc"
-        save_params(p, tiny_params)
-        want = ConverterConfig(**{**TINY, "use_speaker_condition": False})
-        loaded = load_params(p, cfg=want)
-        assert loaded.cfg.use_speaker_condition is False
-        # same tensors, different runtime behavior
-        z, c, g = tiny_inputs(4)
-        assert np.array_equal(forward(loaded, z, c, g),
-                              forward(loaded, z, c, g + 5.0))
