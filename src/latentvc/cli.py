@@ -234,6 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         files = tuple(getattr(args, name, None) for name in ("source", "reference", "checkpoint", "output"))
         if _names_one_of(args.report, files):
             raise ValueError("--report must differ from the input and output paths")
+        if args.report is not None and os.path.isdir(args.report):
+            raise ValueError("--report must differ from an existing directory")
         return args.func(args)
     except (AudioFormatError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,7 @@ mapped file.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
 import threading
@@ -50,7 +51,9 @@ from typing import Callable
 
 import numpy as np
 
+from .codec import D_LATENT
 from .errors import CheckpointError, NonFiniteError
+from .features import N_MELS, SPK_DIM
 
 CHECKPOINT_MAGIC = b"LVCPRM01"
 CHECKPOINT_VERSION = 3
@@ -64,9 +67,9 @@ ConverterFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ConverterConfig:
-    d_latent: int = 1024
-    d_cond: int = 128
-    d_spk: int = 192
+    d_latent: int = D_LATENT
+    d_cond: int = N_MELS
+    d_spk: int = SPK_DIM
     d_model: int = 512
     n_layers: int = 6
     n_heads: int = 8
@@ -156,11 +159,12 @@ def param_count(params: ConverterParams) -> int:
 
 
 def _live(name: str, t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The columns of a whole-block tensor `t` that format 3 keeps as `shape`
-    (see `tensor_shapes`); `qkv.*` columns are views, `adaln.*` ones copies."""
+    """A view of the columns of a whole-block tensor `t` that format 3 keeps
+    as `shape` (see `tensor_shapes`): keys and values of `qkv.*`, (s1, b1) of
+    `adaln.*`."""
     if t.shape == shape:
         return t
-    return t[..., -shape[-1] :] if ".qkv." in name else np.ascontiguousarray(t[..., : shape[-1]])
+    return t[..., -shape[-1] :] if ".qkv." in name else t[..., : shape[-1]]
 
 
 def init_params(cfg: ConverterConfig, seed: int) -> ConverterParams:
@@ -587,24 +591,29 @@ def _replacing(path: str | Path):
         raise
 
 
+def _manifest(cfg: ConverterConfig, version: int = CHECKPOINT_VERSION) -> dict[str, list]:
+    """Name -> [(in, out) shape, byte offset into the blob section] of a
+    format-`version` checkpoint of `cfg`: float32 blobs back to back in
+    `tensor_shapes` order. `save_params` writes it; `load_params` requires it."""
+    manifest, offset = {}, 0
+    for name, shape in tensor_shapes(cfg, version).items():
+        manifest[name] = [list(shape), offset]
+        offset += 4 * math.prod(shape)
+    return manifest
+
+
 def save_params(path: str | Path, params: ConverterParams) -> None:
     """Write magic, uint64 header length, JSON header, then float32 LE blobs.
 
-    The header carries the format version, the config, and a tensor manifest
-    mapping name -> [(in, out) shape, byte offset into the blob section].
-    Blobs follow back to back in manifest order, each in the storage order
-    of `tensor_shapes`: an out-major projection matrix is written as the
-    row-major bytes of its (out, in) transpose, every other tensor as the
-    row-major bytes of its shape. Trailing spaces pad the header so that the
-    blob section starts on a 64-byte boundary. The file at `path` is
-    replaced by a new one, never rewritten in place.
+    The header carries the format version, the config, and the `_manifest`
+    of the config. Each blob is in the storage order of `tensor_shapes`: an
+    out-major projection matrix is written as the row-major bytes of its
+    (out, in) transpose, every other tensor as the row-major bytes of its
+    shape. Trailing spaces pad the header so that the blob section starts on
+    a 64-byte boundary. The file at `path` is replaced by a new one, never
+    rewritten in place.
     """
-    shapes = tensor_shapes(params.cfg)
-    manifest: dict[str, list] = {}
-    offset = 0
-    for name, shape in shapes.items():
-        manifest[name] = [list(shape), offset]
-        offset += 4 * int(np.prod(shape))
+    manifest = _manifest(params.cfg)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(params.cfg),
@@ -616,37 +625,28 @@ def save_params(path: str | Path, params: ConverterParams) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(len(header_bytes).to_bytes(8, "little"))
         f.write(header_bytes)
-        for name in shapes:
+        for name in manifest:
             t = params.tensors[name]
             f.write(np.ascontiguousarray(t.T if _storage_order(name) == "F" else t, dtype="<f4"))
 
 
-# Rows per block when a format-1 checkpoint's out-major matrix, stored
-# row-major in its (in, out) shape, is transposed into place; at the default
-# model that is 4x faster than transposing whole matrices (512 x 2048
-# float32: 1.3 ms against 5.3 ms).
-_LOAD_ROWS = 32
-
-
 def load_params(path: str | Path) -> ConverterParams:
-    """Load a checkpoint; validate magic, version, shapes, offsets and size.
+    """Load a checkpoint; validate magic, version, config, manifest and size.
 
     The config is the one stored in the file. To change the ablation
     switches, apply `dataclasses.replace` to the result and its `cfg`.
 
-    The header and the whole manifest are checked against the file size
-    before any tensor is touched: each offset must be the one `save_params`
-    writes, the sum of the sizes of the tensors before it. The file is then
-    mapped read-only, and each format-2 or format-3 tensor is a zero-copy,
-    read-only view of the map in its storage order: processes that load the
-    same file share its pages, and the process holds no copy of its own. A
-    tensor that is not 4-byte aligned in the file is copied, as are format-1
-    out-major matrices, which are stored row-major in their (in, out) shape
-    and are transposed into place. Of the last condition block of formats 1
-    and 2 only what format 3 keeps is read. Every returned array is read-only.
-    Replace a loaded file, as `save_params` does, rather than rewrite it in
-    place: an in-place rewrite changes or faults the weights of every
-    process that has it mapped.
+    Every check runs before any tensor is touched. The manifest must be the
+    `_manifest` of the file's config and version, compared as JSON text, so
+    an offset or dimension written as a float or a bool is refused. The file
+    is then mapped read-only, and each tensor is viewed in the file's byte
+    order (row-major in its (in, out) shape for format 1, its storage order
+    otherwise), cut to the columns format 3 keeps, and copied only if that
+    view is not aligned and contiguous in the storage order. An aligned
+    format-3 file thus loads as zero-copy views whose pages processes
+    share. Every returned array is read-only. Replace a loaded file, as
+    `save_params` does, rather than rewrite it in place: that changes or
+    faults the weights of every process that has it mapped.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -664,58 +664,35 @@ def load_params(path: str | Path) -> ConverterParams:
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: unreadable header (not a JSON object)")
         version = header.get("format_version")
-        if version not in (1, 2, CHECKPOINT_VERSION):
-            raise CheckpointError(f"{path}: version mismatch (file {version}, supported 1 to {CHECKPOINT_VERSION})")
+        if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
+            raise CheckpointError(f"{path}: version mismatch (file {version!r}, supported 1 to {CHECKPOINT_VERSION})")
         try:
             file_cfg = ConverterConfig(**header["config"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: invalid config in header ({exc})") from exc
 
-        shapes = tensor_shapes(file_cfg, version)
-        manifest = header.get("manifest")
-        if not isinstance(manifest, dict) or set(manifest) != set(shapes):
-            raise CheckpointError(f"{path}: manifest does not list the expected tensors")
-        spans = []
-        offset = 0
-        for name, shape in shapes.items():
-            try:
-                m_shape, m_offset = manifest[name]
-                m_shape = tuple(m_shape)
-            except (TypeError, ValueError) as exc:
-                raise CheckpointError(f"{path}: malformed manifest entry for {name} ({exc})") from exc
-            if m_shape != shape:
-                raise CheckpointError(f"{path}: shape mismatch for {name} (file {list(m_shape)}, expected {list(shape)})")
-            if type(m_offset) is not int or m_offset != offset:
-                raise CheckpointError(f"{path}: bad offset for {name} (file {m_offset!r}, expected {offset})")
-            start = header_end + offset
-            offset += 4 * int(np.prod(shape))
-            if header_end + offset > size:
-                raise CheckpointError(f"{path}: truncated file (tensor {name} extends past EOF)")
-            spans.append((name, shape, start, header_end + offset))
+        manifest = _manifest(file_cfg, version)
+        if json.dumps(header.get("manifest"), sort_keys=True) != json.dumps(manifest, sort_keys=True):
+            raise CheckpointError(f"{path}: manifest is not the layout of a format-{version} file of its config")
+        if header_end + 4 * sum(math.prod(shape) for shape, _ in manifest.values()) > size:
+            raise CheckpointError(f"{path}: truncated file (tensor data extends past EOF)")
 
         try:
             mapped = mmap.mmap(f.fileno(), 0, flags=mmap.MAP_SHARED | _MAP_POPULATE, prot=mmap.PROT_READ)
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"{path}: cannot map file ({exc})") from exc
 
-    live = tensor_shapes(file_cfg)
     tensors: dict[str, np.ndarray] = {}
-    for name, shape, start, end in spans:
-        if name not in live:
-            continue
-        if end > len(mapped):
+    for name, live in tensor_shapes(file_cfg).items():
+        shape, offset = manifest[name]
+        start = header_end + offset
+        if start + 4 * math.prod(shape) > len(mapped):
             raise CheckpointError(f"{path}: truncated file (short read in tensor {name})")
         order = _storage_order(name)
-        if version == 1 and order == "F":
-            t = np.empty(shape, "<f4", order="F")
-            rows = np.ndarray(shape, "<f4", buffer=mapped, offset=start)
-            for i in range(0, shape[0], _LOAD_ROWS):
-                t[i : i + _LOAD_ROWS] = rows[i : i + _LOAD_ROWS]
-        else:
-            t = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order=order)
-            if not t.flags.aligned:
-                t = t.copy(order="K")
-        t = _live(name, t, live[name])
+        t = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order="C" if version == 1 else order)
+        t = _live(name, t, live)
+        if not (t.flags.aligned and t.flags[order + "_CONTIGUOUS"]):
+            t = t.copy(order=order)
         t.flags.writeable = False
         tensors[name] = t
     return ConverterParams(cfg=file_cfg, tensors=tensors)

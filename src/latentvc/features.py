@@ -16,10 +16,11 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import SAMPLE_RATE, Waveform
+from .codec import HOP
 
 N_FFT = 1024
 WIN_LENGTH = 1024
-HOP_LENGTH = 256
+HOP_LENGTH = HOP
 N_MELS = 128
 FRAME_RATE = SAMPLE_RATE / HOP_LENGTH  # 62.5 Hz
 FMIN = 0.0

@@ -26,6 +26,7 @@ import numpy as np
 from .audio_io import SAMPLE_RATE, Waveform, slice_pad
 from .codec import HOP, CodecInterface
 from .converter import ConverterFn
+from .dataprep import SEGMENT_SAMPLES
 from .errors import NonFiniteError
 from .features import mel_spectrogram, speaker_embedding_from_mel
 
@@ -42,11 +43,11 @@ def _ms_to_samples(ms: float, what: str) -> int:
 class StreamConfig:
     """Window geometry in milliseconds; sample counts derive at 16 kHz.
 
-    Defaults give a 2.4 s window split 2160 | 120 | 20 | 100 ms, i.e.
-    38400 samples = 34560 + 1920 + 320 + 1600.
+    Defaults give a 2.4 s window, the training segment of `dataprep`, split
+    2160 | 120 | 20 | 100 ms, i.e. 38400 samples = 34560 + 1920 + 320 + 1600.
     """
 
-    window_ms: float = 2400.0
+    window_ms: float = SEGMENT_SAMPLES * 1000.0 / SAMPLE_RATE
     current_ms: float = 120.0
     overlap_ms: float = 20.0
     future_ms: float = 100.0
@@ -228,8 +229,9 @@ def stream_step(
     codec: CodecInterface,
     converter: ConverterFn,
     flush: bool = False,
-) -> tuple[np.ndarray, StreamState, dict[str, float]]:
-    """Process step k and emit exactly `current` samples.
+) -> tuple[np.ndarray, StreamState, tuple[float, float, float]]:
+    """Process step k and emit exactly `current` samples; also return its
+    (enc, convert, dec) ms, the record appended to `state.timings`.
 
     The window is source[k*C - H : k*C - H + W], zero-padded outside the
     stream. After one encode/convert/decode pass the current region is
@@ -267,13 +269,9 @@ def stream_step(
         out[:O] = crossfade(state.retained_tail, out[:O])
     state.retained_tail = new_tail
     state.k = k + 1
-    step_timings = {
-        "t_enc_ms": (t1 - t0) * 1000.0,
-        "t_convert_ms": (t2 - t1) * 1000.0,
-        "t_dec_ms": (t3 - t2) * 1000.0,
-    }
-    state.timings.append((step_timings["t_enc_ms"], step_timings["t_convert_ms"], step_timings["t_dec_ms"]))
-    return out, state, step_timings
+    timings = ((t1 - t0) * 1000.0, (t2 - t1) * 1000.0, (t3 - t2) * 1000.0)
+    state.timings.append(timings)
+    return out, state, timings
 
 
 def stream_run(
@@ -324,11 +322,10 @@ def offline_run(
     if n < 1:
         raise ValueError("source must contain at least one sample")
     wall_start = time.perf_counter()
-    c = mel_spectrogram(reference)
-    g = speaker_embedding_from_mel(c)
+    ref = init_stream(reference)
     padded = slice_pad(source, 0, math.ceil(n / codec.hop) * codec.hop)
     z = codec.encode(padded)
-    y = codec.decode(converter(z, c, g))
+    y = codec.decode(converter(z, ref.cond_mel, ref.spk))
     out = Waveform(y.samples[:n])
     wall_s = time.perf_counter() - wall_start
     return out, wall_s / source.duration_s

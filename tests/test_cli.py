@@ -99,8 +99,9 @@ class TestConvert:
     def test_report_colliding_with_a_file_exits_2(self, capsys, wavs, tmp_path):
         # The report must name neither an input nor a file the command
         # writes (the output, a features file, anything in the make-pairs
-        # directory), however the path is spelled; the refusal comes before
-        # any file is touched or any directory made.
+        # directory), however the path is spelled, nor an existing
+        # directory; the refusal comes before any file is touched or any
+        # directory made.
         src, ref = wavs
         base, corpus = str(tmp_path / "feat" / "base"), tmp_path / "corpus"
         out = tmp_path / "out.wav"
@@ -120,6 +121,9 @@ class TestConvert:
             *[["make-pairs", "--output", str(corpus), "--count", "1", "--report", str(path)]
               for path in (corpus / "manifest.json", corpus / "pair_000_real.wav", corpus / "sub" / "r.json")],
             *[["eval-loss", "--source", src, "--reference", ref, "--report", path] for path in (src, ref)],
+            ["features", "--source", src, "--output", base, "--report", str(tmp_path)],
+            ["convert", "--source", src, "--reference", ref, "--output", out, "--identity", "--report", str(tmp_path)],
+            ["make-pairs", "--output", str(corpus), "--count", "1", "--report", str(tmp_path)],
         ]
         for argv in cases:
             assert main(argv) == 2, argv

@@ -837,7 +837,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_params(p)
 
-    @pytest.mark.parametrize("version", [0, 4])
+    # The version must be a plain int: 3.0 and True (== 1) are refused too.
+    @pytest.mark.parametrize("version", [0, 4, 3.0, True])
     def test_neighbouring_versions_refused(self, tiny_params, tmp_path, version):
         p = tmp_path / "m.lvc"
         save_params(p, tiny_params)
@@ -917,6 +918,15 @@ class TestCheckpoint:
         rewrite_header(p, lambda h: h.update(format_version=version))
         with pytest.raises(CheckpointError, match="manifest"):
             load_params(p)
+
+    def test_manifest_key_order_does_not_matter(self, tiny_params, tmp_path):
+        p = tmp_path / "m.lvc"
+        save_params(p, tiny_params)
+        rewrite_header(p, lambda h: h.update(manifest=dict(reversed(h["manifest"].items()))))
+        assert next(iter(read_header(p)[0]["manifest"])) == "src_out.b"
+        loaded = load_params(p)
+        for name, t in tiny_params.tensors.items():
+            assert np.array_equal(loaded.tensors[name], t), name
 
     def test_unaligned_file_loads_bitwise(self, tmp_path):
         params = random_tiny_params(10)
@@ -1004,6 +1014,11 @@ class TestCheckpoint:
         rewrite_header(p, lambda h: h["manifest"][name].__setitem__(1, offset(h["manifest"][name][1])))
         self.assert_refused_unread(p, nbytes)
 
+    def test_manifest_dimension_written_as_float(self, tmp_path):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        rewrite_header(p, lambda h: h["manifest"]["src_in.w"].__setitem__(0, [32.0, 64]))
+        self.assert_refused_unread(p, nbytes)
+
     def test_truncated_mid_tensor(self, tmp_path):
         p, nbytes = self.medium_checkpoint(tmp_path)
         raw = p.read_bytes()
@@ -1025,8 +1040,8 @@ class TestCheckpoint:
         self.assert_refused_unread(p, nbytes)
 
     def test_short_read_is_refused(self, tmp_path, monkeypatch):
-        # The file shrinks after its size was checked: the count readinto
-        # returns must catch it.
+        # The file shrinks after its size was checked: the per-tensor check
+        # against the map's length must catch it.
         p, _ = self.medium_checkpoint(tmp_path)
         full = p.stat().st_size
         p.write_bytes(p.read_bytes()[: full - 1000])
@@ -1042,9 +1057,9 @@ class TestCheckpoint:
             load_params(p)
 
     def test_v1_cut_mid_tensor_is_refused(self, tmp_path, monkeypatch):
-        # Format 1 reads out-major matrices through the staging buffer:
-        # a cut inside one is refused from the size check, and a file that
-        # shrinks after it by the staging read's count check.
+        # Format 1 copies its out-major matrices: a cut inside one is
+        # refused from the size check, and a file that shrinks after it by
+        # the per-tensor check against the map's length.
         params = init_params(MEDIUM, seed=0)
         nbytes = sum(t.nbytes for t in params.tensors.values())
         p = tmp_path / "m.lvc"
