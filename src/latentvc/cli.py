@@ -25,7 +25,7 @@ import numpy as np
 from .audio_io import Waveform, read_wav, write_wav
 from .codec import toy_codec
 from .converter import ConverterConfig, ConverterFn, identity_converter, init_params, load_params, make_converter
-from .dataprep import RoleMode, RoleProbs, sample_mode, synth_pair
+from .dataprep import MIN_PAIR_DURATION_S, RoleMode, RoleProbs, sample_mode, synth_pair
 from .errors import AudioFormatError, CheckpointError, NonFiniteError
 from .features import mel_spectrogram, speaker_embedding_from_mel
 from .streaming import StreamConfig, build_report, offline_run, stream_run
@@ -130,6 +130,10 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 
 def _cmd_make_pairs(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    if not (np.isfinite(args.duration_s) and args.duration_s >= MIN_PAIR_DURATION_S):
+        raise ValueError(f"--duration-s must be finite and >= {MIN_PAIR_DURATION_S}, got {args.duration_s}")
     outdir = Path(args.output)
     if args.report is not None and Path(os.path.realpath(args.report)).is_relative_to(os.path.realpath(outdir)):
         raise ValueError("--report must differ from the files that make-pairs writes: it is inside --output")
@@ -162,6 +166,8 @@ def _cmd_make_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample_roles(args: argparse.Namespace) -> int:
+    if args.draws < 1:
+        raise ValueError(f"--draws must be >= 1, got {args.draws}")
     parts = [float(x) for x in args.probs.split(",")]
     if len(parts) != 3:
         raise ValueError(f"--probs needs three comma-separated values, got {args.probs!r}")

@@ -105,8 +105,8 @@ def _storage_order(name: str) -> str:
     return "F" if ".".join(name.split(".")[-2:]) in _OUT_MAJOR else "C"
 
 
-def tensor_shapes(cfg: ConverterConfig, version: int = CHECKPOINT_VERSION) -> dict[str, tuple[int, ...]]:
-    """Ordered name -> shape map for every parameter tensor of checkpoint format `version`.
+def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
+    """Ordered name -> shape map for every parameter tensor.
 
     Linear weights have shape (in, out) and are applied as ``x @ w + b``. This
     map is the single source of truth for init, save, and load. Shape is not
@@ -115,9 +115,8 @@ def tensor_shapes(cfg: ConverterConfig, version: int = CHECKPOINT_VERSION) -> di
     `attn_out.w`, `ffn.w1`, `ffn.w2`) out-major, i.e. in Fortran order, and
     everything else row-major.
 
-    Format 3 keeps of the last condition block only the key and value columns
-    of `qkv.*` and the (s1, b1) columns of `adaln.w2`/`b2`; formats 1 and 2
-    hold the whole block.
+    The last condition block is condition-pre-only: it has only the key and
+    value columns of `qkv.*` and the (s1, b1) columns of `adaln.w2`/`b2`.
     """
     d, s = cfg.d_model, {}
     s["src_in.w"] = (cfg.d_latent, d)
@@ -127,7 +126,7 @@ def tensor_shapes(cfg: ConverterConfig, version: int = CHECKPOINT_VERSION) -> di
     for i in range(cfg.n_layers):
         for br in ("src", "cond"):
             p = f"layers.{i}.{br}."
-            pre_only = version >= 3 and br == "cond" and i == cfg.n_layers - 1
+            pre_only = br == "cond" and i == cfg.n_layers - 1
             n_mod, n_proj = (2, 2) if pre_only else (6, 3)
             s[p + "adaln.w1"] = (cfg.d_spk, d)
             s[p + "adaln.b1"] = (d,)
@@ -158,35 +157,23 @@ def param_count(params: ConverterParams) -> int:
     return sum(int(t.size) for t in params.tensors.values())
 
 
-def _live(name: str, t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A view of the columns of a whole-block tensor `t` that format 3 keeps
-    as `shape` (see `tensor_shapes`): keys and values of `qkv.*`, (s1, b1) of
-    `adaln.*`."""
-    if t.shape == shape:
-        return t
-    return t[..., -shape[-1] :] if ".qkv." in name else t[..., : shape[-1]]
-
-
 def init_params(cfg: ConverterConfig, seed: int) -> ConverterParams:
     """Glorot-uniform float32 weights, zero biases, zero adaptive-norm output layers.
 
     The zeroed `adaln.w2`/`adaln.b2` make all six modulation vectors zero at
-    init, so every block starts as the identity on both branches. Storage
-    order follows `tensor_shapes`. Weights are drawn for the whole last block
-    and the dead part dropped, so a seed keeps giving the values of format 2.
+    init, so every block starts as the identity on both branches. Each
+    tensor is drawn in its `tensor_shapes` shape, in that order, and stored
+    in the storage order `tensor_shapes` describes.
     """
     rng = np.random.default_rng(seed)
-    shapes = tensor_shapes(cfg)
     tensors: dict[str, np.ndarray] = {}
-    for name, full in tensor_shapes(cfg, version=2).items():
-        order = _storage_order(name)
+    for name, shape in tensor_shapes(cfg).items():
         if name.endswith(".b") or name.endswith("b1") or name.endswith("b2") or name.endswith("adaln.w2"):
-            w = np.zeros(full)
+            w = np.zeros(shape)
         else:
-            limit = np.sqrt(6.0 / (full[0] + full[1]))
-            w = rng.uniform(-limit, limit, size=full)
-        if name in shapes:
-            tensors[name] = _live(name, w, shapes[name]).astype(np.float32, order=order)
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            w = rng.uniform(-limit, limit, size=shape)
+        tensors[name] = w.astype(np.float32, order=_storage_order(name))
     return ConverterParams(cfg=cfg, tensors=tensors)
 
 
@@ -591,12 +578,12 @@ def _replacing(path: str | Path):
         raise
 
 
-def _manifest(cfg: ConverterConfig, version: int = CHECKPOINT_VERSION) -> dict[str, list]:
+def _manifest(cfg: ConverterConfig) -> dict[str, list]:
     """Name -> [(in, out) shape, byte offset into the blob section] of a
-    format-`version` checkpoint of `cfg`: float32 blobs back to back in
-    `tensor_shapes` order. `save_params` writes it; `load_params` requires it."""
+    checkpoint of `cfg`: float32 blobs back to back in `tensor_shapes`
+    order. `save_params` writes it; `load_params` requires it."""
     manifest, offset = {}, 0
-    for name, shape in tensor_shapes(cfg, version).items():
+    for name, shape in tensor_shapes(cfg).items():
         manifest[name] = [list(shape), offset]
         offset += 4 * math.prod(shape)
     return manifest
@@ -636,17 +623,15 @@ def load_params(path: str | Path) -> ConverterParams:
     The config is the one stored in the file. To change the ablation
     switches, apply `dataclasses.replace` to the result and its `cfg`.
 
-    Every check runs before any tensor is touched. The manifest must be the
-    `_manifest` of the file's config and version, compared as JSON text, so
-    an offset or dimension written as a float or a bool is refused. The file
-    is then mapped read-only, and each tensor is viewed in the file's byte
-    order (row-major in its (in, out) shape for format 1, its storage order
-    otherwise), cut to the columns format 3 keeps, and copied only if that
-    view is not aligned and contiguous in the storage order. An aligned
-    format-3 file thus loads as zero-copy views whose pages processes
-    share. Every returned array is read-only. Replace a loaded file, as
-    `save_params` does, rather than rewrite it in place: that changes or
-    faults the weights of every process that has it mapped.
+    Only format 3 (`CHECKPOINT_VERSION`) loads. Every check runs before any
+    tensor is touched. The manifest must be the `_manifest` of the file's
+    config, compared as JSON text, so an offset or dimension written as a
+    float or a bool is refused. The file is then mapped read-only, and each
+    tensor is viewed in its storage order and copied only if that view is
+    not aligned. An aligned file thus loads as zero-copy views whose pages
+    processes share. Every returned array is read-only. Replace a loaded
+    file, as `save_params` does, rather than rewrite it in place: that
+    changes or faults the weights of every process that has it mapped.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -664,16 +649,16 @@ def load_params(path: str | Path) -> ConverterParams:
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: unreadable header (not a JSON object)")
         version = header.get("format_version")
-        if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
-            raise CheckpointError(f"{path}: version mismatch (file {version!r}, supported 1 to {CHECKPOINT_VERSION})")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: version mismatch (file {version!r}, supported {CHECKPOINT_VERSION})")
         try:
             file_cfg = ConverterConfig(**header["config"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: invalid config in header ({exc})") from exc
 
-        manifest = _manifest(file_cfg, version)
+        manifest = _manifest(file_cfg)
         if json.dumps(header.get("manifest"), sort_keys=True) != json.dumps(manifest, sort_keys=True):
-            raise CheckpointError(f"{path}: manifest is not the layout of a format-{version} file of its config")
+            raise CheckpointError(f"{path}: manifest is not the layout of its config")
         if header_end + 4 * sum(math.prod(shape) for shape, _ in manifest.values()) > size:
             raise CheckpointError(f"{path}: truncated file (tensor data extends past EOF)")
 
@@ -683,15 +668,13 @@ def load_params(path: str | Path) -> ConverterParams:
             raise CheckpointError(f"{path}: cannot map file ({exc})") from exc
 
     tensors: dict[str, np.ndarray] = {}
-    for name, live in tensor_shapes(file_cfg).items():
-        shape, offset = manifest[name]
+    for name, (shape, offset) in manifest.items():
         start = header_end + offset
         if start + 4 * math.prod(shape) > len(mapped):
             raise CheckpointError(f"{path}: truncated file (short read in tensor {name})")
         order = _storage_order(name)
-        t = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order="C" if version == 1 else order)
-        t = _live(name, t, live)
-        if not (t.flags.aligned and t.flags[order + "_CONTIGUOUS"]):
+        t = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order=order)
+        if not t.flags.aligned:
             t = t.copy(order=order)
         t.flags.writeable = False
         tensors[name] = t

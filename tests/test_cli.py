@@ -340,6 +340,15 @@ class TestMakePairs:
         assert np.array_equal(read_wav(tmp_path / "a" / "pair_000_real.wav").samples,
                               read_wav(tmp_path / "b" / "pair_000_real.wav").samples)
 
+    # Refused before any work: no directory is made.
+    @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-2"), ("--duration-s", "1"),
+                                             ("--duration-s", "nan"), ("--duration-s", "inf")])
+    def test_bad_count_or_duration_exits_2_and_makes_nothing(self, capsys, tmp_path, flag, value):
+        outdir = tmp_path / "corpus"
+        assert main(["make-pairs", "--output", str(outdir), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestSampleRoles:
     def test_reports_frequencies(self, capsys):
@@ -362,6 +371,12 @@ class TestSampleRoles:
 
     def test_non_normalized_probs_exit_2(self, capsys):
         assert main(["sample-roles", "--probs", "0.5,0.4,0.2"]) == 2
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_draws_below_one_exit_2(self, capsys, draws):
+        assert main(["sample-roles", "--draws", draws]) == 2
+        captured = capsys.readouterr()
+        assert "--draws" in captured.err and captured.out == ""
 
 
 class TestEvalLoss:

@@ -6,9 +6,9 @@ random tiny geometries. Also covers the zero-gate identity at init, the two
 architecture flags, shape and finiteness validation, the reference cache and
 single-stream guard of `make_converter`, the storage layout of the weights
 and the memory that loading and binding them takes, and the checkpoint
-container (formats 1 to 3): read-only mapped weights, saves that replace
-the file, tamper rejection before any tensor is read, and the condition-
-pre-only last block of format 3, whose older whole-block files still load.
+container (format 3): read-only mapped weights, saves that replace the
+file, tamper rejection before any tensor is read, refusal of every other
+format version, and the condition-pre-only last block.
 """
 
 import json
@@ -175,12 +175,22 @@ def live_columns(name, full, shape):
     return full[..., full.shape[-1] - k:] if ".qkv." in name else full[..., :k]
 
 
+def whole_block_shapes(cfg):
+    """`tensor_shapes` with the last block whole, as before the condition-
+    pre-only block: the shapes of a model one block deeper, without that
+    block."""
+    last = f"layers.{cfg.n_layers}."
+    deeper = tensor_shapes(replace(cfg, n_layers=cfg.n_layers + 1))
+    return {name: shape for name, shape in deeper.items() if not name.startswith(last)}
+
+
 def random_params(cfg, seed):
-    """Row-major weights drawn for the whole last block, as before format 3,
-    of which the condition-pre-only block keeps its live columns."""
+    """Row-major weights drawn for the whole last block, as before the
+    condition-pre-only block, of which that block keeps its live columns;
+    so every seed keeps the values it always gave."""
     params = init_params(cfg, seed=0)
     r = np.random.default_rng(seed)
-    for name, shape in tensor_shapes(cfg, version=2).items():
+    for name, shape in whole_block_shapes(cfg).items():
         full = r.standard_normal(shape).astype(np.float32) * 0.2
         if name in params.tensors:
             params.tensors[name] = np.ascontiguousarray(live_columns(name, full, params.tensors[name].shape))
@@ -255,33 +265,24 @@ def rewrite_header(path, edit):
     replace_header(path, header)
 
 
-# The last block's condition tensors that formats 1 and 2 hold and format 3 drops.
+# The tensors of a whole last condition block that the condition-pre-only block lacks.
 DEAD = ("attn_out.w", "attn_out.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
-def whole_block_tensors(params):
-    """The tensors of a format-1 or format-2 file of `params`: the whole last
-    block, with NaN in the dead tensors and columns, which no load may read."""
-    out = {}
-    for name, shape in tensor_shapes(params.cfg, version=2).items():
-        out[name] = np.full(shape, np.nan, np.float32)
-        if name in params.tensors:
-            live_columns(name, out[name], params.tensors[name].shape)[...] = params.tensors[name]
-    return out
-
-
-def save_legacy(path, params, version, aligned=True):
+def save_legacy(path, params, version):
     """Write `params` as a format-1 or format-2 checkpoint, as older code did:
-    whole-block tensors, format-1 blobs row-major in their (in, out) shape,
-    format-2 blobs in storage order. The header is padded so the blobs start
-    on 64 bytes, or, if not `aligned`, one byte past the 4-byte grid."""
-    tensors = whole_block_tensors(params)
-    manifest, offset = {}, 0
-    for name, t in tensors.items():
-        manifest[name] = [list(t.shape), offset]
-        offset += t.nbytes
+    the whole last block, NaN in its dead tensors and columns; format-1
+    blobs row-major in their (in, out) shape, format-2 blobs in storage
+    order."""
+    tensors, manifest, offset = {}, {}, 0
+    for name, shape in whole_block_shapes(params.cfg).items():
+        tensors[name] = np.full(shape, np.nan, np.float32)
+        if name in params.tensors:
+            live_columns(name, tensors[name], params.tensors[name].shape)[...] = params.tensors[name]
+        manifest[name] = [list(shape), offset]
+        offset += tensors[name].nbytes
     header = json.dumps({"format_version": version, "config": asdict(params.cfg), "manifest": manifest}).encode()
-    header += b" " * ((-16 - len(header)) % 64 if aligned else (1 - 16 - len(header)) % 4)
+    header += b" " * ((-16 - len(header)) % 64)
     blobs = b"".join(np.ascontiguousarray(t.T if version == 2 and is_out_major(n) else t).tobytes()
                      for n, t in tensors.items())
     replace_file(path, b"LVCPRM01" + len(header).to_bytes(8, "little") + header + blobs)
@@ -296,9 +297,14 @@ def save_v2(path, params):
 
 
 def save_unaligned(path, params):
-    """A format-2 file whose blob section starts one byte past the 4-byte
-    grid, as code older than the header padding could write."""
-    save_legacy(path, params, 2, aligned=False)
+    """A checkpoint of `params` whose blob section starts one byte past the
+    4-byte grid, as code older than the header padding could write."""
+    save_params(path, params)
+    header, header_end = read_header(path)
+    blob = json.dumps(header).encode()
+    blob += b" " * ((1 - 16 - len(blob)) % 4)
+    raw = path.read_bytes()
+    replace_file(path, raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[header_end:])
 
 
 def tiny_inputs(seed, t_s=5, t_c=3):
@@ -339,7 +345,6 @@ class TestConfig:
         assert shapes["layers.1.cond.qkv.w"] == (8, 16)
         assert shapes["layers.1.cond.adaln.w2"] == (8, 16)
         assert not any(f"layers.1.cond.{n}" in shapes for n in DEAD)
-        assert tensor_shapes(tiny_cfg, version=2)["layers.1.cond.qkv.w"] == (8, 24)
         # ordering is the checkpoint layout, so it must be stable
         assert list(shapes)[:2] == ["src_in.w", "src_in.b"]
         assert list(shapes)[-2:] == ["src_out.w", "src_out.b"]
@@ -401,20 +406,6 @@ class TestInit:
         c = init_params(tiny_cfg, seed=10)
         assert all(np.array_equal(a.tensors[n], b.tensors[n]) for n in a.tensors)
         assert any(not np.array_equal(a.tensors[n], c.tensors[n]) for n in a.tensors)
-
-    def test_kept_tensors_keep_their_whole_block_draws(self, tiny_cfg):
-        # Drawn as format 2 was, over the whole last block: every kept
-        # tensor holds the values the seed always gave it.
-        params = init_params(tiny_cfg, seed=9)
-        rng = np.random.default_rng(9)
-        for name, shape in tensor_shapes(tiny_cfg, version=2).items():
-            if name.endswith((".b", "b1", "b2", "adaln.w2")):
-                continue
-            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            full = rng.uniform(-limit, limit, size=shape).astype(np.float32)
-            if name in params.tensors:
-                assert np.array_equal(params.tensors[name], live_columns(name, full, params.tensors[name].shape)), name
-        assert not np.all(params.tensors["layers.1.cond.qkv.w"] == 0.0)
 
     def test_default_dtype_float32(self, tiny_cfg):
         assert init_params(tiny_cfg, seed=0).tensors["src_in.w"].dtype == np.float32
@@ -535,8 +526,7 @@ class TestStorageLayout:
         assert isinstance(loaded, ConverterParams)
         assert peak < 0.05 * nbytes
 
-    @pytest.mark.parametrize("write", [save_params, save_unaligned, save_v1, save_v2],
-                             ids=["v3", "v2-unaligned", "v1", "v2"])
+    @pytest.mark.parametrize("write", [save_params, save_unaligned], ids=["v3", "v3-unaligned"])
     def test_loaded_weights_are_read_only(self, tmp_path, write):
         p = tmp_path / "m.lvc"
         write(p, random_tiny_params(4))
@@ -837,8 +827,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_params(p)
 
-    # The version must be a plain int: 3.0 and True (== 1) are refused too.
-    @pytest.mark.parametrize("version", [0, 4, 3.0, True])
+    # Only format 3 loads: 1 and 2, once loaded, are refused like any other
+    # version, and the version must be a plain int: 3.0 and True too.
+    @pytest.mark.parametrize("version", [0, 1, 2, 4, 3.0, True])
     def test_neighbouring_versions_refused(self, tiny_params, tmp_path, version):
         p = tmp_path / "m.lvc"
         save_params(p, tiny_params)
@@ -859,20 +850,6 @@ class TestCheckpoint:
             want = t.T.tobytes() if is_out_major(name) else t.tobytes()
             assert raw[offset : offset + t.nbytes] == want, name
 
-    def test_v1_file_loads_like_v2(self, tmp_path):
-        params = random_tiny_params(6)
-        p1, p2 = tmp_path / "v1.lvc", tmp_path / "v2.lvc"
-        save_v1(p1, params)
-        save_params(p2, params)
-        assert read_header(p1)[0]["format_version"] == 1
-        v1, v2 = load_params(p1), load_params(p2)
-        assert v1.cfg == v2.cfg == params.cfg
-        TestStorageLayout().check_layout(v1)
-        for name, t in params.tensors.items():
-            assert np.array_equal(v1.tensors[name], t), name
-            assert np.array_equal(v2.tensors[name], t), name
-            assert v1.tensors[name].strides == v2.tensors[name].strides, name
-
     def test_format_3_drops_the_dead_tensors(self, tmp_path):
         # Default model: the last block's condition branch loses 3.68 M
         # parameters, 14.7 MB of the file.
@@ -886,33 +863,13 @@ class TestCheckpoint:
         assert not any(last + n in header["manifest"] for n in DEAD)
         assert header["manifest"][last + "qkv.w"][0] == [512, 1024]
         assert header["manifest"][last + "adaln.w2"][0] == [512, 1024]
-        whole_block = 4 * sum(int(np.prod(s)) for s in tensor_shapes(cfg, version=2).values())
+        whole_block = 4 * sum(math.prod(s) for s in whole_block_shapes(cfg).values())
         assert p.stat().st_size - header_end == 4 * param_count(params) == whole_block - 14_702_592
 
-    @settings(max_examples=25, deadline=None)
-    @given(cfg=tiny_configs, version=st.sampled_from([1, 2]), t_s=st.integers(1, 5), t_c=st.integers(1, 5),
-           seed=st.integers(0, 2**32 - 1))
-    def test_legacy_file_loads_bitwise_like_its_format_3_resave(self, tmp_path_factory, cfg, version, t_s, t_c,
-                                                               seed):
-        # The dead tensors and columns of the legacy file are NaN, so any
-        # read of them would show in the output.
-        params = random_params(cfg, seed)
-        d = tmp_path_factory.mktemp("ckpt")
-        save_legacy(d / "old.lvc", params, version)
-        old = load_params(d / "old.lvc")
-        save_params(d / "new.lvc", old)
-        new = load_params(d / "new.lvc")
-        for name, t in params.tensors.items():
-            assert np.array_equal(old.tensors[name], t) and np.array_equal(new.tensors[name], t), name
-        z, c, g = random_inputs(cfg, np.random.default_rng(seed), t_s, t_c)
-        want = make_converter(params)(z, c, g)
-        assert np.isfinite(want).all()
-        for loaded in (old, new):
-            assert np.array_equal(make_converter(loaded)(z, c, g), want)
-            assert np.array_equal(forward(loaded, z, c, g), want)
-
-    @pytest.mark.parametrize("write, version", [(save_params, 2), (save_v2, 3), (save_v1, 3)])
+    @pytest.mark.parametrize("write, version", [(save_v2, 3), (save_v1, 3)])
     def test_manifest_must_be_its_versions(self, tmp_path, write, version):
+        # A format-1 or format-2 file relabelled version 3 carries a whole
+        # last block's manifest and is refused for it.
         p = tmp_path / "m.lvc"
         write(p, random_tiny_params(11))
         rewrite_header(p, lambda h: h.update(format_version=version))
@@ -1040,11 +997,13 @@ class TestCheckpoint:
         self.assert_refused_unread(p, nbytes)
 
     def test_short_read_is_refused(self, tmp_path, monkeypatch):
-        # The file shrinks after its size was checked: the per-tensor check
-        # against the map's length must catch it.
+        # The file shrinks after its size was checked, here to a cut inside
+        # a tensor: the per-tensor check against the map's length must catch
+        # it and name that tensor.
         p, _ = self.medium_checkpoint(tmp_path)
+        header, header_end = read_header(p)
         full = p.stat().st_size
-        p.write_bytes(p.read_bytes()[: full - 1000])
+        p.write_bytes(p.read_bytes()[: header_end + header["manifest"]["layers.1.src.ffn.w1"][1] + 4096])
         real_fstat = os.fstat
 
         def stale_fstat(fd):
@@ -1053,25 +1012,5 @@ class TestCheckpoint:
             return os.stat_result(st)
 
         monkeypatch.setattr(os, "fstat", stale_fstat)
-        with pytest.raises(CheckpointError, match="short read"):
-            load_params(p)
-
-    def test_v1_cut_mid_tensor_is_refused(self, tmp_path, monkeypatch):
-        # Format 1 copies its out-major matrices: a cut inside one is
-        # refused from the size check, and a file that shrinks after it by
-        # the per-tensor check against the map's length.
-        params = init_params(MEDIUM, seed=0)
-        nbytes = sum(t.nbytes for t in params.tensors.values())
-        p = tmp_path / "m.lvc"
-        save_v1(p, params)
-        loaded, peak = traced_peak(load_params, p)
-        assert isinstance(loaded, ConverterParams) and peak < 1.1 * nbytes
-        header, header_end = read_header(p)
-        full = p.stat().st_size
-        p.write_bytes(p.read_bytes()[: header_end + header["manifest"]["layers.1.src.ffn.w1"][1] + 4096])
-        self.assert_refused_unread(p, nbytes)
-        real_fstat = os.fstat
-        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
-            [*real_fstat(fd)[:6], full, *real_fstat(fd)[7:]]))
-        with pytest.raises(CheckpointError, match="short read in tensor layers.1.src.ffn.w1"):
+        with pytest.raises(CheckpointError, match=r"short read in tensor layers\.1\.src\.ffn\.w1\)"):
             load_params(p)
