@@ -66,7 +66,8 @@ def read_wav(path: str | Path) -> Waveform:
     if rate != SAMPLE_RATE:
         raise AudioFormatError(f"{path}: sample rate {rate}, only {SAMPLE_RATE} Hz is supported")
     pcm = np.frombuffer(raw, dtype="<i2")
-    return Waveform(pcm.astype(np.float64) / _PCM_SCALE)
+    # one pass over the samples; exact, as the scale is a power of two
+    return Waveform(np.multiply(pcm, 1.0 / _PCM_SCALE, dtype=np.float64))
 
 
 def write_wav(path: str | Path, w: Waveform) -> int:

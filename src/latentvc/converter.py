@@ -275,12 +275,14 @@ def _gelu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _buf(scratch: dict, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Fetch a reusable work buffer from `scratch`, reallocating on a shape change."""
+    """A C-contiguous `shape` view of the flat work buffer `key` in `scratch`,
+    which only grows: it is reallocated when it is too small or of another dtype."""
+    n = math.prod(shape)
     a = scratch.get(key)
-    if a is None or a.shape != shape or a.dtype != dtype:
-        a = np.empty(shape, dtype)
+    if a is None or a.size < n or a.dtype != dtype:
+        a = np.empty(n, dtype)
         scratch[key] = a
-    return a
+    return a[:n].reshape(shape)
 
 
 def _w(t: dict[str, np.ndarray], name: str) -> np.ndarray:
@@ -378,7 +380,8 @@ def _convert(
     return_trace: bool = False,
 ):
     """The per-chunk body of `forward`: source latents through the blocks
-    against a prepared reference, reusing the work buffers in `scratch`."""
+    against a prepared reference, reusing the work buffers in `scratch`,
+    one grow-only buffer per role."""
     cfg = params.cfg
     t = params.tensors
     dtype = t["src_in.w"].dtype
@@ -396,7 +399,9 @@ def _convert(
     update = cfg.update_cond_branch
     q_scale, half = _q_scale(cfg, dtype), dtype.type(0.5)
 
-    zT = _buf(scratch, "zT", (cfg.d_latent, T_s), dtype)
+    # `zT` and `outT` share one buffer, as do the branches' `ln`, `out`, `hid`
+    # and `gel`: each is done with before the next use starts.
+    zT = _buf(scratch, "latent", (cfg.d_latent, T_s), dtype)
     np.copyto(zT, z.T)
     h_src = _buf(scratch, "src.h", (d, T_s), dtype)
     np.matmul(_w(t, "src_in.w"), zT, out=h_src)
@@ -408,14 +413,9 @@ def _convert(
     # Each branch: its name, its state and its token columns in the joint sequence.
     branches = (("src", h_src, slice(0, T_s)), ("cond", h_cond, slice(T_s, T)))
 
-    # Work buffers shared by all layers; activations are (features, tokens).
-    # `scores` and `attn` are flat so a layer with only T_s queries gets
-    # contiguous views of them. Each branch's own buffers are fetched from
-    # `scratch` under its name when it first needs them.
+    # Activations are (features, tokens). Per-head views of the packed QKV
+    # buffer; all contiguous row blocks.
     qkv = _buf(scratch, "qkv", (3 * d, T), dtype)
-    scores_flat = _buf(scratch, "scores", (n_heads * T * (T if update else T_s),), dtype)
-    attn_flat = _buf(scratch, "attn", (d * T,), dtype)
-    # per-head views of the packed buffer; all contiguous row blocks
     q_heads = qkv[:d].reshape(n_heads, d_head, T)
     kT_heads = qkv[d : 2 * d].reshape(n_heads, d_head, T).transpose(0, 2, 1)
     v_heads = qkv[2 * d :].reshape(n_heads, d_head, T)
@@ -428,19 +428,21 @@ def _convert(
                 np.copyto(qkv[-len(prep.cond_qkv[i]) :, cols], prep.cond_qkv[i])
                 continue
             p = f"layers.{i}.{br}."
-            ln = _buf(scratch, br + ".ln", h.shape, dtype)
+            ln = _buf(scratch, "ln", h.shape, dtype)
             _qkv_into(t, p, h, prep.mods[i][br][:2], ln, qkv[-len(t[p + "qkv.b"]) :, cols], q_scale)
 
-        # Keys on rows: scores[head, key, query]. The softmax reduces over
-        # axis 1 and its normalisation is applied to the (d_head, T_q) output.
-        scores = scores_flat[: n_heads * T * T_q].reshape(n_heads, T, T_q)
-        np.matmul(kT_heads, q_heads[:, :, :T_q], out=scores)
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        attn = attn_flat[: d * T_q].reshape(d, T_q)
+        # One head at a time through one score buffer, keys on rows:
+        # scores[key, query]. The softmax reduces over axis 0 and its
+        # normalisation is applied to the head's (d_head, T_q) output.
+        scores = _buf(scratch, "scores", (T, T_q), dtype)
+        attn = _buf(scratch, "attn", (d, T_q), dtype)
         attn_heads = attn.reshape(n_heads, d_head, T_q)
-        np.matmul(v_heads, scores, out=attn_heads)
-        attn_heads /= scores.sum(axis=1, keepdims=True)
+        for k in range(n_heads):
+            np.matmul(kT_heads[k], q_heads[k, :, :T_q], out=scores)
+            scores -= scores.max(axis=0)
+            np.exp(scores, out=scores)
+            np.matmul(v_heads[k], scores, out=attn_heads[k])
+            attn_heads[k] /= scores.sum(axis=0)
 
         # The branches are independent from here on: each one that is updated
         # runs its attention output and FFN, each with its gated residual.
@@ -448,10 +450,10 @@ def _convert(
         for br, h, cols in live:
             p = f"layers.{i}.{br}."
             _, _, a1, s2, b2, a2 = prep.mods[i][br]
-            ln = _buf(scratch, br + ".ln", h.shape, dtype)
-            out = _buf(scratch, br + ".out", h.shape, dtype)
-            hid = _buf(scratch, br + ".hid", (d_ffn, h.shape[1]), dtype)
-            gel = _buf(scratch, br + ".gel", (d_ffn, h.shape[1]), dtype)
+            ln = _buf(scratch, "ln", h.shape, dtype)
+            out = _buf(scratch, "out", h.shape, dtype)
+            hid = _buf(scratch, "hid", (d_ffn, h.shape[1]), dtype)
+            gel = _buf(scratch, "gel", (d_ffn, h.shape[1]), dtype)
             np.matmul(_w(t, p + "attn_out.w"), attn[:, cols], out=out)
             _add_gated(h, out, t[p + "attn_out.b"], a1)
             np.matmul(_w(t, p + "ffn.w1"), _ln_fm_into(h, ln, (s2, b2)), out=hid)
@@ -464,8 +466,8 @@ def _convert(
         if return_trace:
             trace.append((h_src.T.copy(), h_cond.T.copy()))
 
-    ln_s = _ln_fm_into(h_src, _buf(scratch, "src.ln", (d, T_s), dtype))
-    outT = _buf(scratch, "outT", (cfg.d_latent, T_s), dtype)
+    ln_s = _ln_fm_into(h_src, _buf(scratch, "ln", (d, T_s), dtype))
+    outT = _buf(scratch, "latent", (cfg.d_latent, T_s), dtype)
     np.matmul(_w(t, "src_out.w"), ln_s, out=outT)
     outT += t["src_out.b"][:, None]
     out = outT.T.copy()
@@ -505,7 +507,10 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     store them) and per-call copies otherwise. It reuses work buffers
     across layers and operates in place where it can; one chunk must stay
     well under its own duration on a single core, and GEMM orientation,
-    allocation churn, and page faults were all measured costs.
+    allocation churn, and page faults were all measured costs. The
+    branches share one set of buffers, and attention runs one head at a
+    time through one (T, T_q) score buffer, so scratch memory grows with
+    T², not n_heads·T².
     """
     return _convert(params, prepare(params, c, g), z, {}, return_trace)
 

@@ -75,6 +75,16 @@ class TestWavRoundTrip:
             f.writeframes(np.array([16384], dtype="<i2").tobytes())
         assert read_wav(p).samples[0] == pytest.approx(0.5)
 
+    def test_every_int16_value_reads_as_value_over_32768(self, tmp_path):
+        pcm = np.arange(-32768, 32768, dtype="<i2")
+        p = tmp_path / "all.wav"
+        with wave.open(str(p), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(SAMPLE_RATE)
+            f.writeframes(pcm.tobytes())
+        assert np.array_equal(read_wav(p).samples, pcm.astype(np.float64) / 32768.0)
+
     def test_write_clips_out_of_range(self, tmp_path, caplog):
         w = Waveform(np.array([2.0, -2.0, 0.0]))
         p = tmp_path / "clip.wav"

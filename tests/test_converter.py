@@ -692,6 +692,19 @@ class TestMakeConverter:
         y, peak = traced_peak(conv, z, c, g)
         assert peak < y.nbytes + c.size + g.size + 16 * 1024
 
+    def test_cold_forward_holds_one_score_matrix(self):
+        # Attention runs one head at a time through one (T, T) score buffer,
+        # so a cold call peaks below the n_heads*T*T float32 scores that
+        # every head's at once would take alone.
+        params = init_params(MEDIUM, seed=0)
+        r = np.random.default_rng(0)
+        t_s, t_c = 64, 448
+        z, c, g = (r.standard_normal((t_s, MEDIUM.d_latent)), r.standard_normal((t_c, MEDIUM.d_cond)),
+                   r.standard_normal(MEDIUM.d_spk))
+        y, peak = traced_peak(forward, params, z, c, g)
+        assert y.shape == z.shape
+        assert peak < MEDIUM.n_heads * (t_s + t_c) ** 2 * 4
+
     def test_refused_reference_is_refused_again(self, tiny_params):
         # A reference that prepare refuses must not become the cached one,
         # or the next call with it would reuse the previous reference's state.
@@ -837,7 +850,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_params(p)
 
-    def test_v2_blobs_are_in_storage_order(self, tmp_path):
+    def test_blobs_are_in_storage_order(self, tmp_path):
         params = random_tiny_params(5)
         p = tmp_path / "m.lvc"
         save_params(p, params)
