@@ -243,15 +243,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.report is not None and os.path.isdir(args.report):
             raise ValueError("--report must differ from an existing directory")
         return args.func(args)
-    except (AudioFormatError, CheckpointError) as exc:
+    except (AudioFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -79,14 +79,16 @@ class ConverterConfig:
     use_speaker_condition: bool = True
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "bool" and type(v) is not bool:
+                raise ValueError(f"{f.name} must be a bool, got {v!r}")
+            if f.type == "int" and (type(v) is not int or v <= 0):
+                raise ValueError(f"{f.name} must be a positive int, got {v!r}")
         if self.n_heads * self.d_head != self.d_model:
             raise ValueError(
                 f"n_heads*d_head must equal d_model: {self.n_heads}*{self.d_head} != {self.d_model}"
             )
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type == "int" and v <= 0:
-                raise ValueError(f"{f.name} must be positive, got {v}")
 
     @property
     def d_ffn(self) -> int:
@@ -631,11 +633,11 @@ def load_params(path: str | Path) -> ConverterParams:
     Only format 3 (`CHECKPOINT_VERSION`) loads. Every check runs before any
     tensor is touched. The manifest must be the `_manifest` of the file's
     config, compared as JSON text, so an offset or dimension written as a
-    float or a bool is refused. The file is then mapped read-only, and each
-    tensor is viewed in its storage order and copied only if that view is
-    not aligned. An aligned file thus loads as zero-copy views whose pages
-    processes share. Every returned array is read-only. Replace a loaded
-    file, as `save_params` does, rather than rewrite it in place: that
+    float or a bool is refused, and the tensor data must start on the
+    64-byte boundary `save_params` pads it to. The file is then mapped
+    read-only, and each tensor is a zero-copy view of the map in its storage
+    order: read-only, aligned, and in pages that processes share. Replace a
+    loaded file, as `save_params` does, rather than rewrite it in place: that
     changes or faults the weights of every process that has it mapped.
     """
     with open(path, "rb") as f:
@@ -666,6 +668,8 @@ def load_params(path: str | Path) -> ConverterParams:
             raise CheckpointError(f"{path}: manifest is not the layout of its config")
         if header_end + 4 * sum(math.prod(shape) for shape, _ in manifest.values()) > size:
             raise CheckpointError(f"{path}: truncated file (tensor data extends past EOF)")
+        if header_end % _BLOB_ALIGN != 0:
+            raise CheckpointError(f"{path}: tensor data at byte {header_end}, not on a {_BLOB_ALIGN}-byte boundary")
 
         try:
             mapped = mmap.mmap(f.fileno(), 0, flags=mmap.MAP_SHARED | _MAP_POPULATE, prot=mmap.PROT_READ)
@@ -677,10 +681,5 @@ def load_params(path: str | Path) -> ConverterParams:
         start = header_end + offset
         if start + 4 * math.prod(shape) > len(mapped):
             raise CheckpointError(f"{path}: truncated file (short read in tensor {name})")
-        order = _storage_order(name)
-        t = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order=order)
-        if not t.flags.aligned:
-            t = t.copy(order=order)
-        t.flags.writeable = False
-        tensors[name] = t
+        tensors[name] = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order=_storage_order(name))
     return ConverterParams(cfg=file_cfg, tensors=tensors)

@@ -22,7 +22,6 @@ N_FFT = 1024
 WIN_LENGTH = 1024
 HOP_LENGTH = HOP
 N_MELS = 128
-FRAME_RATE = SAMPLE_RATE / HOP_LENGTH  # 62.5 Hz
 FMIN = 0.0
 FMAX = 8000.0
 LOG_FLOOR = 1e-5

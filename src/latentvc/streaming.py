@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import SAMPLE_RATE, Waveform, slice_pad
-from .codec import HOP, CodecInterface
+from .codec import CodecInterface
 from .converter import ConverterFn
 from .dataprep import SEGMENT_SAMPLES
 from .errors import NonFiniteError
@@ -33,6 +33,8 @@ from .features import mel_spectrogram, speaker_embedding_from_mel
 
 def _ms_to_samples(ms: float, what: str) -> int:
     exact = ms * SAMPLE_RATE / 1000.0
+    if not math.isfinite(exact):
+        raise ValueError(f"{what}={ms} ms is not a finite number of samples")
     n = round(exact)
     if abs(exact - n) > 1e-6:
         raise ValueError(f"{what}={ms} ms is not a whole number of samples at {SAMPLE_RATE} Hz")
@@ -53,8 +55,8 @@ class StreamConfig:
     future_ms: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.current_ms <= 0:
-            raise ValueError(f"current_ms must be > 0, got {self.current_ms}")
+        if self.current_ms < 1000.0 / SAMPLE_RATE:
+            raise ValueError(f"current_ms must be at least one sample, got {self.current_ms}")
         if self.overlap_ms < 0 or self.future_ms < 0:
             raise ValueError("overlap_ms and future_ms must be >= 0")
         if self.overlap_ms > self.current_ms:
@@ -67,10 +69,6 @@ class StreamConfig:
             )
         for name in ("window_ms", "current_ms", "overlap_ms", "future_ms"):
             _ms_to_samples(getattr(self, name), name)
-        if self.window_samples % HOP != 0:
-            raise ValueError(
-                f"window of {self.window_samples} samples is not a multiple of the codec hop {HOP}"
-            )
 
     @property
     def history_ms(self) -> float:
@@ -212,7 +210,6 @@ class StreamState:
     spk: np.ndarray
     k: int = 0
     retained_tail: np.ndarray | None = None
-    timings: list[tuple[float, float, float]] = field(default_factory=list)
 
 
 def init_stream(reference: Waveform) -> StreamState:
@@ -231,17 +228,20 @@ def stream_step(
     flush: bool = False,
 ) -> tuple[np.ndarray, StreamState, tuple[float, float, float]]:
     """Process step k and emit exactly `current` samples; also return its
-    (enc, convert, dec) ms, the record appended to `state.timings`.
+    (enc, convert, dec) ms.
 
     The window is source[k*C - H : k*C - H + W], zero-padded outside the
     stream. After one encode/convert/decode pass the current region is
     emitted with its first O samples cross-faded against the tail retained
     from the previous step (step 0 emits unmodified); the new overlap region
     is retained for the next step. A converter output with a NaN or Inf
-    raises NonFiniteError naming step k, before the state advances.
+    raises NonFiniteError naming step k, before the state advances. The
+    window must be a whole number of `codec.hop` frames.
     """
     if k != state.k:
         raise ValueError(f"stream steps must run in order: expected step {state.k}, got {k}")
+    if cfg.window_samples % codec.hop != 0:
+        raise ValueError(f"window of {cfg.window_samples} samples is not a multiple of the codec hop {codec.hop}")
     C = cfg.current_samples
     H = cfg.history_samples
     O = cfg.overlap_samples
@@ -269,9 +269,7 @@ def stream_step(
         out[:O] = crossfade(state.retained_tail, out[:O])
     state.retained_tail = new_tail
     state.k = k + 1
-    timings = ((t1 - t0) * 1000.0, (t2 - t1) * 1000.0, (t3 - t2) * 1000.0)
-    state.timings.append(timings)
-    return out, state, timings
+    return out, state, ((t1 - t0) * 1000.0, (t2 - t1) * 1000.0, (t3 - t2) * 1000.0)
 
 
 def stream_run(
@@ -296,14 +294,15 @@ def stream_run(
     O = cfg.overlap_samples
     F = cfg.future_samples
     steps = math.ceil(n / C)
-    chunks = []
+    chunks, timings = [], []
     for k in range(steps):
         flush = k * C + C + O + F > n
-        chunk, state, _ = stream_step(state, cfg, source, k, codec, converter, flush=flush)
+        chunk, state, t = stream_step(state, cfg, source, k, codec, converter, flush=flush)
         chunks.append(chunk)
+        timings.append(t)
     out = np.concatenate(chunks)[:n]
     wall_s = time.perf_counter() - wall_start
-    report = build_report(cfg, state.timings, wall_s, duration_s=source.duration_s)
+    report = build_report(cfg, timings, wall_s, duration_s=source.duration_s)
     return Waveform(out), report
 
 

@@ -51,35 +51,23 @@ def embedding_mse(pred_emb: np.ndarray, target_emb: np.ndarray) -> tuple[float, 
 class LossBreakdown:
     mel_recon: float
     spk_sim: float
-    total: float
-    weights: tuple[float, float]  # (lambda_mel, lambda_spk)
 
     def __post_init__(self) -> None:
         for name, v in (("mel_recon", self.mel_recon), ("spk_sim", self.spk_sim)):
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        lam_mel, lam_spk = self.weights
-        expected = lam_mel * self.mel_recon + lam_spk * self.spk_sim
-        if abs(self.total - expected) > 1e-9:
-            raise ValueError(f"total {self.total} does not match weighted sum {expected}")
+
+    @property
+    def total(self) -> float:
+        return self.mel_recon + self.spk_sim
 
     def to_dict(self) -> dict:
-        return {
-            "mel_recon": self.mel_recon,
-            "spk_sim": self.spk_sim,
-            "total": self.total,
-            "weights": {"mel": self.weights[0], "spk": self.weights[1]},
-        }
+        return {"mel_recon": self.mel_recon, "spk_sim": self.spk_sim, "total": self.total}
 
 
-def loss_breakdown(
-    pred: Waveform,
-    target: Waveform,
-    lambda_mel: float = 1.0,
-    lambda_spk: float = 1.0,
-) -> LossBreakdown:
-    """`mel_l1` of two equal-length waveforms' log-mels, `embedding_mse` of
-    their speaker embeddings, and the weighted total; one mel per waveform."""
+def loss_breakdown(pred: Waveform, target: Waveform) -> LossBreakdown:
+    """`mel_l1` of two equal-length waveforms' log-mels and `embedding_mse`
+    of their speaker embeddings; one mel per waveform."""
     if len(pred) != len(target):
         raise ValueError(f"waveform lengths differ: {len(pred)} vs {len(target)}")
     mel_p, mel_t = _features.mel_spectrogram(pred), _features.mel_spectrogram(target)
@@ -88,12 +76,7 @@ def loss_breakdown(
         _features.speaker_embedding_from_mel(mel_p),
         _features.speaker_embedding_from_mel(mel_t),
     )
-    return LossBreakdown(
-        mel_recon=mel,
-        spk_sim=spk,
-        total=lambda_mel * mel + lambda_spk * spk,
-        weights=(lambda_mel, lambda_spk),
-    )
+    return LossBreakdown(mel_recon=mel, spk_sim=spk)
 
 
 def assemble_supervision(

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import latentvc
 from latentvc import (
+    CodecInterface,
     NonFiniteError,
     StreamConfig,
     Waveform,
@@ -37,6 +38,8 @@ from latentvc import (
     stream_run,
     stream_step,
     toy_codec,
+    toy_decode,
+    toy_encode,
     identity_converter,
 )
 
@@ -80,11 +83,34 @@ class TestStreamConfig:
         with pytest.raises(ValueError):
             StreamConfig(current_ms=0.03)
 
-    def test_rejects_window_not_codec_aligned(self):
+    def test_rejects_sub_sample_current(self):
+        # 1e-9 ms is within the whole-sample tolerance of zero samples
+        with pytest.raises(ValueError, match="current_ms"):
+            StreamConfig(current_ms=1e-9, overlap_ms=0.0)
+
+    @given(st.dictionaries(st.sampled_from(["window_ms", "current_ms", "overlap_ms", "future_ms"]),
+                           st.floats()))
+    @example({"window_ms": math.inf})
+    @example({"current_ms": -math.inf})
+    @example({"future_ms": math.nan})
+    def test_any_float_is_accepted_or_a_value_error(self, fields):
+        try:
+            StreamConfig(**fields)
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize("ms", [math.inf, math.nan, 1e308])
+    def test_non_finite_window_names_the_field(self, ms):
+        with pytest.raises(ValueError, match="window_ms"):
+            StreamConfig(window_ms=ms)
+
+    def test_rejects_window_not_codec_aligned(self, short_wave):
         # 2399.9375 ms is exactly 38399 samples, one short of a hop multiple
-        with pytest.raises(ValueError):
-            StreamConfig(window_ms=2399.9375, current_ms=120.0,
-                         overlap_ms=20.0, future_ms=99.9375)
+        cfg = StreamConfig(window_ms=2399.9375, current_ms=120.0,
+                           overlap_ms=20.0, future_ms=99.9375)
+        src = make_wave(cfg.window_samples, seed=4)
+        with pytest.raises(ValueError, match="codec hop 256"):
+            stream_step(init_stream(short_wave), cfg, src, 0, toy_codec(), identity_converter)
 
     def test_zero_overlap_and_future_allowed(self):
         cfg = StreamConfig(window_ms=400.0, current_ms=16.0, overlap_ms=0.0, future_ms=0.0)
@@ -210,7 +236,7 @@ class TestStreamStep:
                                           identity_converter, flush=True)
         assert len(out) == cfg.current_samples
         assert state.k == 1
-        assert len(timings) == 3 and timings == state.timings[-1]
+        assert len(timings) == 3
 
     def test_emits_exactly_current_samples(self, short_wave):
         cfg = small_cfg()
@@ -227,10 +253,20 @@ class TestStreamStep:
         nan_at_step_2 = gain_converter([1.0, 1.0, np.nan])
         for k in range(2):
             stream_step(state, cfg, src, k, toy_codec(), nan_at_step_2)
+        tail = state.retained_tail
         with pytest.raises(NonFiniteError, match="step 2"):
             stream_step(state, cfg, src, 2, toy_codec(), nan_at_step_2)
         assert state.k == 2
-        assert len(state.timings) == 2
+        assert state.retained_tail is tail
+
+    def test_window_is_checked_against_the_codec_hop(self, short_wave):
+        # 38400 samples is a multiple of 256 but not of 500
+        codec = CodecInterface(toy_encode, toy_decode, hop=500)
+        src = make_wave(16000, seed=4)
+        with pytest.raises(ValueError, match="codec hop 500"):
+            stream_run(src, short_wave, StreamConfig(), codec, identity_converter)
+        with pytest.raises(ValueError):
+            offline_run(src, short_wave, codec, identity_converter)
 
 
 class TestStreamRun:
@@ -367,12 +403,16 @@ class TestStreamingProperties:
     def test_invalid_geometries_raise_value_error(self, W, C, O, F, half):
         # a geometry is valid when every region is a whole number of samples,
         # the current region is not empty, none is negative, the overlap is
-        # no longer than the current region, they fit the window, and the
-        # window is a whole number of codec frames
-        valid = not half and C >= 1 and 0 <= O <= C and F >= 0 and C + O + F <= W and W % 256 == 0
+        # no longer than the current region, and they fit the window; a step
+        # also needs the window to be a whole number of codec frames
+        valid = not half and C >= 1 and 0 <= O <= C and F >= 0 and C + O + F <= W
         kwargs = dict(window_ms=W / 16, current_ms=(C + 0.5 * half) / 16, overlap_ms=O / 16, future_ms=F / 16)
         if valid:
-            assert StreamConfig(**kwargs).window_samples == W
+            cfg = StreamConfig(**kwargs)
+            assert cfg.window_samples == W
+            if W % 256 != 0:
+                with pytest.raises(ValueError, match="codec hop"):
+                    stream_step(init_stream(REFERENCE), cfg, REFERENCE, 0, toy_codec(), identity_converter)
         else:
             with pytest.raises(ValueError):
                 StreamConfig(**kwargs)

@@ -128,28 +128,17 @@ class TestWaveformLosses:
 class TestLossBreakdown:
     def test_total_is_weighted_sum(self, short_wave):
         other = make_wave(len(short_wave), seed=95)
-        lb = loss_breakdown(short_wave, other, lambda_mel=2.0, lambda_spk=0.5)
-        assert lb.total == pytest.approx(2.0 * lb.mel_recon + 0.5 * lb.spk_sim, abs=1e-12)
-
-    def test_rejects_inconsistent_total(self):
-        with pytest.raises(ValueError):
-            LossBreakdown(mel_recon=1.0, spk_sim=1.0, total=3.5, weights=(1.0, 1.0))
+        lb = loss_breakdown(short_wave, other)
+        assert lb.total == lb.mel_recon + lb.spk_sim
 
     def test_rejects_negative_term(self):
         with pytest.raises(ValueError):
-            LossBreakdown(mel_recon=-0.1, spk_sim=0.1, total=0.0, weights=(1.0, 1.0))
-
-    def test_weights_scale_linearly(self, short_wave):
-        other = make_wave(len(short_wave), seed=94)
-        base = loss_breakdown(short_wave, other, lambda_mel=1.0, lambda_spk=1.0)
-        double = loss_breakdown(short_wave, other, lambda_mel=2.0, lambda_spk=2.0)
-        assert double.total == pytest.approx(2.0 * base.total, rel=1e-12)
+            LossBreakdown(mel_recon=-0.1, spk_sim=0.1)
 
     def test_to_dict(self, short_wave):
         other = make_wave(len(short_wave), seed=93)
         d = loss_breakdown(short_wave, other).to_dict()
-        assert set(d) == {"mel_recon", "spk_sim", "total", "weights"}
-        assert set(d["weights"]) == {"mel", "spk"}
+        assert set(d) == {"mel_recon", "spk_sim", "total"}
 
 
 class TestAssembleSupervision:
