@@ -46,7 +46,10 @@ class Waveform:
 
 
 def read_wav(path: str | Path) -> Waveform:
-    """Read a mono 16-bit PCM WAV at 16 kHz, scaling samples by 1/32768."""
+    """Read a mono 16-bit PCM WAV at 16 kHz, scaling samples by 1/32768.
+
+    A data chunk shorter than its header declares is refused, not read as a
+    shorter file."""
     try:
         with wave.open(str(path), "rb") as wf:
             n_channels = wf.getnchannels()
@@ -65,6 +68,8 @@ def read_wav(path: str | Path) -> Waveform:
         raise AudioFormatError(f"{path}: {8 * sample_width}-bit depth, only 16-bit is supported")
     if rate != SAMPLE_RATE:
         raise AudioFormatError(f"{path}: sample rate {rate}, only {SAMPLE_RATE} Hz is supported")
+    if len(raw) != 2 * n_frames:  # a data chunk cut short, maybe mid-sample
+        raise AudioFormatError(f"{path}: truncated data chunk ({n_frames} frames declared, {len(raw) / 2:g} present)")
     pcm = np.frombuffer(raw, dtype="<i2")
     # one pass over the samples; exact, as the scale is a power of two
     return Waveform(np.multiply(pcm, 1.0 / _PCM_SCALE, dtype=np.float64))

@@ -39,6 +39,31 @@ def _emit(payload: dict, report_path: str | None) -> None:
         Path(report_path).write_text(text + "\n")
 
 
+def _cpu_model() -> str | None:
+    """The `model name` of /proc/cpuinfo, or None where there is none."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((line.split(":", 1)[1].strip() for line in f if line.startswith("model name")), None)
+    except OSError:
+        return None
+
+
+def _machine(load_1m_start: float) -> dict:
+    """What a timing ran on: the CPU, the load around the run, numpy, its BLAS
+    and the thread settings that BLAS reads at import."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "cpu_model": _cpu_model(),
+        "cpu_count": os.cpu_count(),
+        "load_1m_start": load_1m_start,
+        "load_1m_end": os.getloadavg()[0],
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }
+
+
 def _add_convert_flags(p: argparse.ArgumentParser, output_required: bool) -> None:
     p.add_argument("--source", required=True, help="source WAV (mono 16-bit 16 kHz)")
     p.add_argument("--reference", required=True, help="reference WAV providing the target voice")
@@ -86,10 +111,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
+    load_1m = os.getloadavg()[0]
     cfg = _stream_cfg(args)
     source, reference, converter = _inputs(args)
     out, report = stream_run(source, reference, cfg, toy_codec(), converter)
-    _emit({**report.to_dict(), "clipped_samples": write_wav(args.output, out)}, args.report)
+    payload = {**report.to_dict(), "clipped_samples": write_wav(args.output, out), "machine": _machine(load_1m)}
+    _emit(payload, args.report)
     return 0
 
 
@@ -98,6 +125,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report (rtf is their mean). The audio of every run is the same."""
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    load_1m = os.getloadavg()[0]
     cfg = _stream_cfg(args)
     source, reference, converter = _inputs(args)
     codec = toy_codec()
@@ -109,6 +137,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     payload = report.to_dict()
     if args.output is not None:
         payload["clipped_samples"] = write_wav(args.output, runs[-1][0])
+    payload["machine"] = _machine(load_1m)
     _emit(payload, args.report)
     return 0
 

@@ -23,11 +23,12 @@ for anything else.
 
 Both branches run through one routine, parameterised by branch: `_qkv_into`
 for the modulated norm and QKV projection, then one loop body for the
-attention output and FFN with their gated residuals. A forward pass splits
-into `prepare`, the work that depends only on the reference (c, g), and a
-per-chunk body over the source latents. `make_converter` keeps the prepared
-state of the last reference across calls, so a stream pays for it once;
-its closure is single-stream and refuses concurrent or reentrant calls.
+attention outputs and one for the FFNs, each with its gated residual. A
+forward pass splits into `prepare`, the work that depends only on the
+reference (c, g), and a per-chunk body over the source latents.
+`make_converter` keeps the prepared state of the last reference across
+calls, so a stream pays for it once; its closure is single-stream and
+refuses concurrent or reentrant calls.
 
 The blocks multiply feature-major activations by (out, in) matrices. The
 projection matrices are therefore stored out-major (Fortran order): their
@@ -45,7 +46,6 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -209,11 +209,23 @@ def sinusoidal_positions(positions: np.ndarray, d_model: int) -> np.ndarray:
     return pe
 
 
-@lru_cache(maxsize=32)
+# One read-only positional table per (d_model, dtype name), grown to the
+# longest sequence seen. A row depends only on its position, so a longer
+# table starts with the rows of a shorter one. The lock keeps concurrent
+# converters from replacing a table with a shorter one.
+_PE_TABLES: dict[tuple[int, str], np.ndarray] = {}
+_PE_LOCK = threading.Lock()
+
+
 def _cached_pe(n: int, d_model: int, dtype_name: str) -> np.ndarray:
-    pe = sinusoidal_positions(np.arange(n), d_model).astype(np.dtype(dtype_name))
-    pe.flags.writeable = False
-    return pe
+    """`sinusoidal_positions` of 0..n-1 in `dtype_name`: the table's first n rows."""
+    with _PE_LOCK:
+        pe = _PE_TABLES.get((d_model, dtype_name))
+        if pe is None or len(pe) < n:
+            pe = sinusoidal_positions(np.arange(n), d_model).astype(np.dtype(dtype_name))
+            pe.flags.writeable = False
+            _PE_TABLES[d_model, dtype_name] = pe
+    return pe[:n]
 
 
 def speaker_modulations(params: ConverterParams, g: np.ndarray) -> list[dict[str, tuple[np.ndarray, ...]]]:
@@ -259,21 +271,25 @@ def _ln_fm_into(x: np.ndarray, out: np.ndarray, mod=(None, None)) -> np.ndarray:
     return out
 
 
-def _gelu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """2*gelu(x) written into `out` (same shape, distinct storage); x is preserved.
+def _gelu_in_place(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """2*gelu(x), written over `x` in blocks of len(tmp) rows with `tmp`, of
+    x's column count and distinct storage, as the temporary.
 
     Uses sqrt(2/pi)*(x + 0.044715*x^3) = x*(sqrt(2/pi) + sqrt(2/pi)*0.044715*x^2).
     GELU's factor 0.5 is applied to the (d_model, T) FFN output, before its
     bias add, so it costs no pass over the (d_ffn, T) hidden array.
     """
-    np.multiply(x, x, out=out)
-    out *= _GELU_C * 0.044715
-    out += _GELU_C
-    out *= x
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= x
-    return out
+    for r in range(0, len(x), len(tmp)):
+        blk = x[r : r + len(tmp)]
+        t = tmp[: len(blk)]
+        np.multiply(blk, blk, out=t)
+        t *= _GELU_C * 0.044715
+        t += _GELU_C
+        t *= blk
+        np.tanh(t, out=t)
+        t += 1.0
+        blk *= t
+    return x
 
 
 def _buf(scratch: dict, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -401,9 +417,13 @@ def _convert(
     update = cfg.update_cond_branch
     q_scale, half = _q_scale(cfg, dtype), dtype.type(0.5)
 
-    # `zT` and `outT` share one buffer, as do the branches' `ln`, `out`, `hid`
-    # and `gel`: each is done with before the next use starts.
-    zT = _buf(scratch, "latent", (cfg.d_latent, T_s), dtype)
+    # The branches share `ln`, `out` and `hid`. `hid` also holds the staged
+    # latents (`zT`, `outT`) and the attention output, each done with before
+    # the next use starts. It is sized for its largest use up front, so a call
+    # never regrows it while an older view of it is alive.
+    T_u = T_c if update and cfg.n_layers > 1 else 0  # condition tokens that are updated
+    _buf(scratch, "hid", (max(cfg.d_latent * T_s, d * (T_s + T_u), d_ffn * max(T_s, T_u)),), dtype)
+    zT = _buf(scratch, "hid", (cfg.d_latent, T_s), dtype)
     np.copyto(zT, z.T)
     h_src = _buf(scratch, "src.h", (d, T_s), dtype)
     np.matmul(_w(t, "src_in.w"), zT, out=h_src)
@@ -437,7 +457,7 @@ def _convert(
         # scores[key, query]. The softmax reduces over axis 0 and its
         # normalisation is applied to the head's (d_head, T_q) output.
         scores = _buf(scratch, "scores", (T, T_q), dtype)
-        attn = _buf(scratch, "attn", (d, T_q), dtype)
+        attn = _buf(scratch, "hid", (d, T_q), dtype)
         attn_heads = attn.reshape(n_heads, d_head, T_q)
         for k in range(n_heads):
             np.matmul(kT_heads[k], q_heads[k, :, :T_q], out=scores)
@@ -447,21 +467,23 @@ def _convert(
             attn_heads[k] /= scores.sum(axis=0)
 
         # The branches are independent from here on: each one that is updated
-        # runs its attention output and FFN, each with its gated residual.
+        # runs its attention output, then its FFN, each with its gated
+        # residual. Every attention output is read before the FFNs reuse `hid`.
         live = branches if T_q == T else branches[:1]
         for br, h, cols in live:
             p = f"layers.{i}.{br}."
-            _, _, a1, s2, b2, a2 = prep.mods[i][br]
+            out = _buf(scratch, "out", h.shape, dtype)
+            np.matmul(_w(t, p + "attn_out.w"), attn[:, cols], out=out)
+            _add_gated(h, out, t[p + "attn_out.b"], prep.mods[i][br][2])
+        for br, h, cols in live:
+            p = f"layers.{i}.{br}."
+            _, _, _, s2, b2, a2 = prep.mods[i][br]
             ln = _buf(scratch, "ln", h.shape, dtype)
             out = _buf(scratch, "out", h.shape, dtype)
             hid = _buf(scratch, "hid", (d_ffn, h.shape[1]), dtype)
-            gel = _buf(scratch, "gel", (d_ffn, h.shape[1]), dtype)
-            np.matmul(_w(t, p + "attn_out.w"), attn[:, cols], out=out)
-            _add_gated(h, out, t[p + "attn_out.b"], a1)
             np.matmul(_w(t, p + "ffn.w1"), _ln_fm_into(h, ln, (s2, b2)), out=hid)
             hid += t[p + "ffn.b1"][:, None]
-            _gelu_into(hid, gel)
-            np.matmul(_w(t, p + "ffn.w2"), gel, out=out)
+            np.matmul(_w(t, p + "ffn.w2"), _gelu_in_place(hid, ln), out=out)
             out *= half
             _add_gated(h, out, t[p + "ffn.b2"], a2)
 
@@ -469,7 +491,7 @@ def _convert(
             trace.append((h_src.T.copy(), h_cond.T.copy()))
 
     ln_s = _ln_fm_into(h_src, _buf(scratch, "ln", (d, T_s), dtype))
-    outT = _buf(scratch, "latent", (cfg.d_latent, T_s), dtype)
+    outT = _buf(scratch, "hid", (cfg.d_latent, T_s), dtype)
     np.matmul(_w(t, "src_out.w"), ln_s, out=outT)
     outT += t["src_out.b"][:, None]
     out = outT.T.copy()
@@ -509,10 +531,17 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     store them) and per-call copies otherwise. It reuses work buffers
     across layers and operates in place where it can; one chunk must stay
     well under its own duration on a single core, and GEMM orientation,
-    allocation churn, and page faults were all measured costs. The
-    branches share one set of buffers, and attention runs one head at a
-    time through one (T, T_q) score buffer, so scratch memory grows with
-    T², not n_heads·T².
+    allocation churn, and page faults were all measured costs.
+
+    A call holds seven grow-only work buffers: the two branch states
+    `src.h` (d, T_s) and `cond.h` (d, T_c), the packed `qkv` (3d, T), one
+    (T, T_q) `scores` buffer that attention runs through one head at a time
+    (so scratch grows with T², not n_heads·T²), and `ln`, `out` and `hid`,
+    which the branches share. `hid` holds the FFN hidden array, GELU'd in
+    place with `ln` as the temporary; its storage also stages the codec
+    latents in and out and holds the attention output, which both branches
+    project before either FFN runs. Positions come from one read-only table
+    per (d_model, dtype), grown to the longest sequence seen.
     """
     return _convert(params, prepare(params, c, g), z, {}, return_trace)
 
@@ -523,7 +552,8 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     The returned callable is single-stream. It holds no copy of the weights:
     it multiplies with views of `params.tensors` (see `forward` for
     row-major matrices), so building it allocates nothing. It holds one set
-    of work buffers and the prepared state of the last reference it saw,
+    of the seven work buffers `forward` lists, each as large as the largest
+    call has needed, and the prepared state of the last reference it saw,
     with a private copy of that (c, g) to compare shape, dtype and values
     against: chunk after chunk of a stream reuses it without copying the
     reference, and a new or mutated reference recomputes it. Its

@@ -131,6 +131,15 @@ class TestReadRejectsFormats:
         with pytest.raises(AudioFormatError):
             read_wav(p)
 
+    @pytest.mark.parametrize("cut, present", [(100, "950"), (101, "949.5")], ids=["whole-frames", "mid-sample"])
+    def test_data_chunk_shorter_than_declared(self, tmp_path, cut, present):
+        # A data chunk that ends early is refused, not read as a shorter file.
+        p = tmp_path / "cut.wav"
+        write_wav(p, Waveform(np.zeros(1000)))
+        p.write_bytes(p.read_bytes()[:-cut])
+        with pytest.raises(AudioFormatError, match=rf"cut\.wav: .*1000 frames declared, {present} present"):
+            read_wav(p)
+
     def test_not_a_wav(self, tmp_path):
         p = tmp_path / "junk.wav"
         p.write_bytes(b"this is not audio")

@@ -76,6 +76,19 @@ class TestConvert:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["convert", "stream", "bench", "features", "eval-loss"])
+    @pytest.mark.parametrize("cut", [100, 101], ids=["whole-frames", "mid-sample"])
+    def test_cut_short_source_exits_3_naming_it(self, capsys, wavs, tmp_path, command, cut):
+        src, ref = wavs
+        cut_src = tmp_path / "cut.wav"
+        cut_src.write_bytes(Path(src).read_bytes()[:-cut])
+        argv = {"features": ["--output", str(tmp_path / "feat")], "eval-loss": ["--reference", ref]}.get(
+            command, ["--reference", ref, "--output", str(tmp_path / "out.wav"), "--identity"])
+        assert main([command, "--source", str(cut_src), *argv]) == 3
+        err = capsys.readouterr().err
+        assert str(cut_src) in err and "8000 frames declared" in err
+        assert not (tmp_path / "out.wav").exists()
+
     def test_output_colliding_with_source_exits_2(self, capsys, wavs):
         # The reference path is an input too; neither file is touched.
         src, ref = wavs
@@ -198,12 +211,33 @@ class TestStream:
         assert set(payload) == {
             "t_model_ms", "t_current_ms", "t_overlap_ms", "t_future_ms",
             "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf", "chunks", "clipped_samples",
+            "machine",
         }
         assert set(payload["t_compute_ms"]) == {"mean", "p50", "p95", "max", "enc", "convert", "dec"}
         assert payload["t_model_ms"] == pytest.approx(32.0)
         assert payload["chunk_count"] == math.ceil(8000 / SMALL_STREAM.current_samples) == len(payload["chunks"])
         assert payload["t_latency_ms"] == pytest.approx(payload["t_model_ms"] + payload["t_compute_ms"]["mean"])
         assert payload["rtf"] > 0.0
+
+    @pytest.mark.parametrize("command", ["stream", "bench"])
+    def test_payload_names_the_machine(self, capsys, wavs, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        src, ref = wavs
+        repeats = ["--repeats", "1"] if command == "bench" else []
+        code, payload = run_cli(capsys, [command, "--source", src, "--reference", ref, *repeats,
+                                         "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY])
+        assert code == 0
+        machine = payload["machine"]
+        assert set(machine) == {"cpu_model", "cpu_count", "load_1m_start", "load_1m_end", "numpy", "blas",
+                                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert machine["cpu_model"] is None or (isinstance(machine["cpu_model"], str) and machine["cpu_model"])
+        assert machine["cpu_count"] is None or isinstance(machine["cpu_count"], int)
+        assert all(isinstance(machine[k], float) and machine[k] >= 0.0 for k in ("load_1m_start", "load_1m_end"))
+        assert machine["numpy"] == np.__version__
+        assert set(machine["blas"]) == {"name", "version"}
+        assert all(v is None or isinstance(v, str) for v in machine["blas"].values())
+        assert machine["OPENBLAS_NUM_THREADS"] is None and machine["OMP_NUM_THREADS"] == "3"
 
     def test_identity_round_trips_the_file_exactly(self, capsys, wavs, tmp_path):
         # A codec round trip moves int16 grid values by ~1e-12, far below

@@ -43,7 +43,8 @@ from latentvc import (
     tensor_shapes,
 )
 
-from latentvc.converter import _replacing
+import latentvc.converter as converter_module
+from latentvc.converter import _GELU_C, _cached_pe, _convert, _gelu_in_place, _replacing, prepare
 
 from conftest import TINY
 
@@ -363,6 +364,17 @@ class TestBuildingBlocks:
         got = layer_norm(x)
         for i in range(3):
             assert np.abs(got[i] - s_ln(x[i])).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 40), block=st.integers(1, 16), cols=st.integers(1, 24),
+           seed=st.integers(0, 2**32 - 1))
+    @example(rows=10, block=4, cols=3, seed=0)  # the last block is 2 of the 4 temporary rows
+    def test_gelu_in_place_is_the_longhand(self, rows, block, cols, seed):
+        x = (4 * np.random.default_rng(seed).standard_normal((rows, cols))).astype(np.float32)
+        want = x * (1.0 + np.tanh(x * (_GELU_C + _GELU_C * 0.044715 * (x * x))))
+        got = x.copy()
+        assert _gelu_in_place(got, np.empty((block, cols), np.float32)) is got
+        assert np.array_equal(got, want)
 
     def test_sinusoidal_scalar_loop(self):
         got = sinusoidal_positions(np.arange(7), 12)
@@ -705,6 +717,43 @@ class TestMakeConverter:
         y, peak = traced_peak(forward, params, z, c, g)
         assert y.shape == z.shape
         assert peak < MEDIUM.n_heads * (t_s + t_c) ** 2 * 4
+
+    def test_cold_forward_holds_seven_work_buffers(self):
+        # The FFN hidden array is GELU'd in place, and the attention output
+        # and the staged latents live in its storage, so a cold call holds
+        # seven work buffers, the prepared reference (the condition state
+        # and layer 0's condition q, k, v) and its output. A second
+        # (d_ffn, T_c) hidden buffer would not fit in the slack, which covers
+        # numpy's ufunc buffers (8192 elements an operand) and per-column
+        # statistics.
+        params = init_params(MEDIUM, seed=0)
+        r = np.random.default_rng(0)
+        t_s, t_c = 64, 448
+        z, c, g = (r.standard_normal((t_s, MEDIUM.d_latent)), r.standard_normal((t_c, MEDIUM.d_cond)),
+                   r.standard_normal(MEDIUM.d_spk))
+        d, T = MEDIUM.d_model, t_s + t_c
+        # src.h, cond.h, qkv, scores, ln and out, hid
+        work = d * t_s + d * t_c + 3 * d * T + T * T + 2 * d * t_c + MEDIUM.d_ffn * t_c
+        scratch = {}
+        _convert(params, prepare(params, c, g), z, scratch)  # also grows the positional table
+        assert len(scratch) == 7 and sum(a.nbytes for a in scratch.values()) == 4 * work
+        y, peak = traced_peak(forward, params, z, c, g)
+        assert peak < 4 * (work + 4 * d * t_c) + y.nbytes + 128 * 1024
+
+    def test_one_positional_table_grows_to_the_longest_length(self, tiny_params, monkeypatch):
+        # Training pairs change the condition length with every call; every
+        # length reads the first rows of one table rather than a copy of its own.
+        monkeypatch.setattr(converter_module, "_PE_TABLES", {})
+        d = tiny_params.cfg.d_model
+        lengths = [int(n) for n in np.random.default_rng(3).permutation(np.arange(2, 82, 2))]
+        conv = make_converter(tiny_params)
+        for t_c in lengths:
+            conv(*tiny_inputs(t_c, t_s=1, t_c=t_c))
+        assert list(converter_module._PE_TABLES) == [(d, "float32")]
+        table = converter_module._PE_TABLES[d, "float32"]
+        assert len(lengths) == 40 and len(table) == max(lengths) and not table.flags.writeable
+        for n in (1, *lengths):
+            assert np.array_equal(_cached_pe(n, d, "float32"), sinusoidal_positions(np.arange(n), d).astype(np.float32))
 
     def test_refused_reference_is_refused_again(self, tiny_params):
         # A reference that prepare refuses must not become the cached one,
