@@ -53,14 +53,19 @@ def toy_decode(z: np.ndarray) -> Waveform:
     """Decode a (T, 1024) latent matrix back to a 256*T-sample waveform.
 
     Only the first 256 columns carry signal; the rest are ignored, matching
-    the encoder's layout.
+    the encoder's layout, and only those are converted to float64. Every
+    column must be finite. A float input of at most 64 bits is checked as
+    given; any other is converted whole first, since an object array has no
+    finiteness check and a wider float can overflow float64.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
+    if z.dtype.kind != "f" or z.dtype.itemsize > 8:
+        z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != D_LATENT:
         raise ValueError(f"latent must be (T, {D_LATENT}), got {z.shape}")
     if not np.isfinite(z).all():
         raise NonFiniteError("latent contains NaN or Inf")
-    frames = z[:, :HOP] @ _dct_basis().T
+    frames = np.asarray(z[:, :HOP], dtype=np.float64) @ _dct_basis().T
     frames /= LATENT_SCALE * LATENT_SCALE
     return Waveform(frames.reshape(-1))
 

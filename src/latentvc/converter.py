@@ -292,6 +292,11 @@ def _gelu_in_place(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
+def _at(flat: np.ndarray, shape: tuple[int, ...], offset: int = 0) -> np.ndarray:
+    """The C-contiguous `shape` view of the 1-D buffer `flat` from element `offset` on."""
+    return flat[offset : offset + math.prod(shape)].reshape(shape)
+
+
 def _buf(scratch: dict, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     """A C-contiguous `shape` view of the flat work buffer `key` in `scratch`,
     which only grows: it is reallocated when it is too small or of another dtype."""
@@ -300,7 +305,7 @@ def _buf(scratch: dict, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     if a is None or a.size < n or a.dtype != dtype:
         a = np.empty(n, dtype)
         scratch[key] = a
-    return a[:n].reshape(shape)
+    return _at(a, shape)
 
 
 def _w(t: dict[str, np.ndarray], name: str) -> np.ndarray:
@@ -398,8 +403,8 @@ def _convert(
     return_trace: bool = False,
 ):
     """The per-chunk body of `forward`: source latents through the blocks
-    against a prepared reference, reusing the work buffers in `scratch`,
-    one grow-only buffer per role."""
+    against a prepared reference, reusing the four grow-only work buffers
+    in `scratch`."""
     cfg = params.cfg
     t = params.tensors
     dtype = t["src_in.w"].dtype
@@ -417,13 +422,15 @@ def _convert(
     update = cfg.update_cond_branch
     q_scale, half = _q_scale(cfg, dtype), dtype.type(0.5)
 
-    # The branches share `ln`, `out` and `hid`. `hid` also holds the staged
-    # latents (`zT`, `outT`) and the attention output, each done with before
-    # the next use starts. It is sized for its largest use up front, so a call
-    # never regrows it while an older view of it is alive.
+    # The branches share `ln` and the `work` arena (see `forward`). The
+    # arena's phases, each done with before the next starts: the staged
+    # latents; [qkv | attention output | scores]; the FFN hidden array. Both
+    # are sized for the call up front, so a call never regrows either while
+    # an older view of it is alive.
     T_u = T_c if update and cfg.n_layers > 1 else 0  # condition tokens that are updated
-    _buf(scratch, "hid", (max(cfg.d_latent * T_s, d * (T_s + T_u), d_ffn * max(T_s, T_u)),), dtype)
-    zT = _buf(scratch, "hid", (cfg.d_latent, T_s), dtype)
+    arena = max(cfg.d_latent * T_s, 3 * d * T + (d + T) * (T_s + T_u), d_ffn * max(T_s, T_u))
+    ln, work = _buf(scratch, "ln", (d * max(T_s, T_c),), dtype), _buf(scratch, "work", (arena,), dtype)
+    zT = _at(work, (cfg.d_latent, T_s))
     np.copyto(zT, z.T)
     h_src = _buf(scratch, "src.h", (d, T_s), dtype)
     np.matmul(_w(t, "src_in.w"), zT, out=h_src)
@@ -437,7 +444,7 @@ def _convert(
 
     # Activations are (features, tokens). Per-head views of the packed QKV
     # buffer; all contiguous row blocks.
-    qkv = _buf(scratch, "qkv", (3 * d, T), dtype)
+    qkv = _at(work, (3 * d, T))
     q_heads = qkv[:d].reshape(n_heads, d_head, T)
     kT_heads = qkv[d : 2 * d].reshape(n_heads, d_head, T).transpose(0, 2, 1)
     v_heads = qkv[2 * d :].reshape(n_heads, d_head, T)
@@ -450,14 +457,13 @@ def _convert(
                 np.copyto(qkv[-len(prep.cond_qkv[i]) :, cols], prep.cond_qkv[i])
                 continue
             p = f"layers.{i}.{br}."
-            ln = _buf(scratch, "ln", h.shape, dtype)
-            _qkv_into(t, p, h, prep.mods[i][br][:2], ln, qkv[-len(t[p + "qkv.b"]) :, cols], q_scale)
+            _qkv_into(t, p, h, prep.mods[i][br][:2], _at(ln, h.shape), qkv[-len(t[p + "qkv.b"]) :, cols], q_scale)
 
         # One head at a time through one score buffer, keys on rows:
         # scores[key, query]. The softmax reduces over axis 0 and its
         # normalisation is applied to the head's (d_head, T_q) output.
-        scores = _buf(scratch, "scores", (T, T_q), dtype)
-        attn = _buf(scratch, "hid", (d, T_q), dtype)
+        attn = _at(work, (d, T_q), 3 * d * T)
+        scores = _at(work, (T, T_q), 3 * d * T + d * T_q)
         attn_heads = attn.reshape(n_heads, d_head, T_q)
         for k in range(n_heads):
             np.matmul(kT_heads[k], q_heads[k, :, :T_q], out=scores)
@@ -468,30 +474,31 @@ def _convert(
 
         # The branches are independent from here on: each one that is updated
         # runs its attention output, then its FFN, each with its gated
-        # residual. Every attention output is read before the FFNs reuse `hid`.
+        # residual. Every attention output is read before an FFN's hidden
+        # array overwrites it.
         live = branches if T_q == T else branches[:1]
         for br, h, cols in live:
             p = f"layers.{i}.{br}."
-            out = _buf(scratch, "out", h.shape, dtype)
+            out = _at(ln, h.shape)
             np.matmul(_w(t, p + "attn_out.w"), attn[:, cols], out=out)
             _add_gated(h, out, t[p + "attn_out.b"], prep.mods[i][br][2])
         for br, h, cols in live:
             p = f"layers.{i}.{br}."
             _, _, _, s2, b2, a2 = prep.mods[i][br]
-            ln = _buf(scratch, "ln", h.shape, dtype)
-            out = _buf(scratch, "out", h.shape, dtype)
-            hid = _buf(scratch, "hid", (d_ffn, h.shape[1]), dtype)
-            np.matmul(_w(t, p + "ffn.w1"), _ln_fm_into(h, ln, (s2, b2)), out=hid)
+            ln_h = _at(ln, h.shape)
+            hid = _at(work, (d_ffn, h.shape[1]))
+            np.matmul(_w(t, p + "ffn.w1"), _ln_fm_into(h, ln_h, (s2, b2)), out=hid)
             hid += t[p + "ffn.b1"][:, None]
-            np.matmul(_w(t, p + "ffn.w2"), _gelu_in_place(hid, ln), out=out)
-            out *= half
-            _add_gated(h, out, t[p + "ffn.b2"], a2)
+            # GELU has finished with `ln_h` as its temporary before W2 writes it.
+            np.matmul(_w(t, p + "ffn.w2"), _gelu_in_place(hid, ln_h), out=ln_h)
+            ln_h *= half
+            _add_gated(h, ln_h, t[p + "ffn.b2"], a2)
 
         if return_trace:
             trace.append((h_src.T.copy(), h_cond.T.copy()))
 
-    ln_s = _ln_fm_into(h_src, _buf(scratch, "ln", (d, T_s), dtype))
-    outT = _buf(scratch, "hid", (cfg.d_latent, T_s), dtype)
+    ln_s = _ln_fm_into(h_src, _at(ln, (d, T_s)))
+    outT = _at(work, (cfg.d_latent, T_s))
     np.matmul(_w(t, "src_out.w"), ln_s, out=outT)
     outT += t["src_out.b"][:, None]
     out = outT.T.copy()
@@ -533,15 +540,18 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     well under its own duration on a single core, and GEMM orientation,
     allocation churn, and page faults were all measured costs.
 
-    A call holds seven grow-only work buffers: the two branch states
-    `src.h` (d, T_s) and `cond.h` (d, T_c), the packed `qkv` (3d, T), one
-    (T, T_q) `scores` buffer that attention runs through one head at a time
-    (so scratch grows with T², not n_heads·T²), and `ln`, `out` and `hid`,
-    which the branches share. `hid` holds the FFN hidden array, GELU'd in
-    place with `ln` as the temporary; its storage also stages the codec
-    latents in and out and holds the attention output, which both branches
-    project before either FFN runs. Positions come from one read-only table
-    per (d_model, dtype), grown to the longest sequence seen.
+    A call holds four grow-only work buffers: the two branch states
+    `src.h` (d, T_s) and `cond.h` (d, T_c); `ln` (d, max(T_s, T_c)), which
+    the branches share for each layer norm, the attention-out and FFN-out
+    products that follow it, and as GELU's temporary; and one `work` arena,
+    sized for its largest phase, whose storage each phase owns in turn: the
+    codec latents staged in and out, attention's packed QKV (3d, T) beside
+    the attention output (d, T_q) and one (T, T_q) score buffer that
+    attention runs through one head at a time (so scratch grows with T²,
+    not n_heads·T²), then the FFN hidden array, GELU'd in place. Both
+    branches project their attention output before either FFN runs.
+    Positions come from one read-only table per (d_model, dtype), grown to
+    the longest sequence seen.
     """
     return _convert(params, prepare(params, c, g), z, {}, return_trace)
 
@@ -552,7 +562,7 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     The returned callable is single-stream. It holds no copy of the weights:
     it multiplies with views of `params.tensors` (see `forward` for
     row-major matrices), so building it allocates nothing. It holds one set
-    of the seven work buffers `forward` lists, each as large as the largest
+    of the four work buffers `forward` lists, each as large as the largest
     call has needed, and the prepared state of the last reference it saw,
     with a private copy of that (c, g) to compare shape, dtype and values
     against: chunk after chunk of a stream reuses it without copying the

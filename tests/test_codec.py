@@ -7,9 +7,10 @@ oracle for the transform itself.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentvc import NonFiniteError, Waveform, toy_codec, toy_decode, toy_encode
-from latentvc.codec import D_LATENT, HOP, LATENT_SCALE
+from latentvc.codec import D_LATENT, HOP, LATENT_SCALE, _dct_basis
 
 from conftest import make_wave
 
@@ -67,6 +68,49 @@ class TestDecode:
         z = np.zeros((2, D_LATENT))
         z[1, 10] = np.nan
         with pytest.raises(NonFiniteError):
+            toy_decode(z)
+
+    @settings(max_examples=30, deadline=None)
+    @given(t=st.integers(1, 400), dtype=st.sampled_from([np.float32, np.float64]), fortran=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_is_the_longhand_bitwise(self, t, dtype, fortran, seed):
+        # Only the signal columns are converted; the result is the product
+        # of the whole latent converted to float64, bit for bit.
+        z = np.random.default_rng(seed).standard_normal((t, D_LATENT)).astype(dtype)
+        if fortran:
+            z = np.asfortranarray(z)
+        want = z.astype(np.float64)[:, :HOP] @ _dct_basis().T / LATENT_SCALE**2
+        assert np.array_equal(toy_decode(z).samples, want.reshape(-1))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outside_the_signal_columns(self, dtype, bad):
+        z = np.zeros((3, D_LATENT), dtype)
+        z[2, 1000] = bad
+        with pytest.raises(NonFiniteError, match="latent contains"):
+            toy_decode(z)
+
+    @pytest.mark.parametrize("shape", [(D_LATENT,), (3, HOP), (3, D_LATENT + 1), (2, 3, D_LATENT)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+    def test_rejects_shape_of_any_dtype(self, shape, dtype):
+        with pytest.raises(ValueError, match="latent must be"):
+            toy_decode(np.zeros(shape, dtype))
+
+    @pytest.mark.parametrize("convert", [lambda z: z.astype(np.float16), lambda z: (z * 100).astype(np.int32),
+                                         lambda z: z.astype(object), lambda z: z.tolist(),
+                                         lambda z: z.astype(np.longdouble)],
+                             ids=["float16", "int32", "object", "list", "longdouble"])
+    def test_other_inputs_decode_as_float64(self, convert):
+        z = convert(np.random.default_rng(4).standard_normal((3, D_LATENT)))
+        want = toy_decode(np.asarray(z, dtype=np.float64)).samples
+        assert np.array_equal(toy_decode(z).samples, want)
+
+    def test_longdouble_that_overflows_float64_is_non_finite(self):
+        # Finite as given where longdouble is wider than float64, infinite
+        # once converted.
+        z = np.zeros((1, D_LATENT), np.longdouble)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="latent contains"):
+            z[0, 5] = np.longdouble(np.finfo(np.float64).max) * 4
             toy_decode(z)
 
 

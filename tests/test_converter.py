@@ -718,27 +718,52 @@ class TestMakeConverter:
         assert y.shape == z.shape
         assert peak < MEDIUM.n_heads * (t_s + t_c) ** 2 * 4
 
-    def test_cold_forward_holds_seven_work_buffers(self):
-        # The FFN hidden array is GELU'd in place, and the attention output
-        # and the staged latents live in its storage, so a cold call holds
-        # seven work buffers, the prepared reference (the condition state
-        # and layer 0's condition q, k, v) and its output. A second
-        # (d_ffn, T_c) hidden buffer would not fit in the slack, which covers
-        # numpy's ufunc buffers (8192 elements an operand) and per-column
-        # statistics.
+    def test_cold_forward_holds_four_work_buffers(self):
+        # The packed QKV, the attention output, the scores and the FFN hidden
+        # array (GELU'd in place) share one arena by phase, and the
+        # attention-out and FFN-out products go to `ln`, so a cold call holds
+        # four work buffers, the prepared reference (the condition state and
+        # layer 0's condition q, k, v) and its output. A separate buffer for
+        # the scores, the attention output or an FFN-out product would not
+        # fit in the slack, which covers numpy's ufunc buffers (8192 elements
+        # an operand) and per-column statistics.
         params = init_params(MEDIUM, seed=0)
         r = np.random.default_rng(0)
         t_s, t_c = 64, 448
         z, c, g = (r.standard_normal((t_s, MEDIUM.d_latent)), r.standard_normal((t_c, MEDIUM.d_cond)),
                    r.standard_normal(MEDIUM.d_spk))
         d, T = MEDIUM.d_model, t_s + t_c
-        # src.h, cond.h, qkv, scores, ln and out, hid
-        work = d * t_s + d * t_c + 3 * d * T + T * T + 2 * d * t_c + MEDIUM.d_ffn * t_c
+        # src.h, cond.h, ln, and work: the staged latents, [qkv | attention output | scores] or the FFN hidden array
+        arena = max(MEDIUM.d_latent * t_s, 3 * d * T + d * T + T * T, MEDIUM.d_ffn * t_c)
+        work = d * t_s + d * t_c + d * t_c + arena
         scratch = {}
         _convert(params, prepare(params, c, g), z, scratch)  # also grows the positional table
-        assert len(scratch) == 7 and sum(a.nbytes for a in scratch.values()) == 4 * work
+        assert sorted(scratch) == ["cond.h", "ln", "src.h", "work"]
+        assert sum(a.nbytes for a in scratch.values()) == 4 * work
         y, peak = traced_peak(forward, params, z, c, g)
         assert peak < 4 * (work + 4 * d * t_c) + y.nbytes + 128 * 1024
+
+    # Latents and an FFN wide enough that each of the arena's phases (staged
+    # latents, attention, FFN hidden array) is its largest for some drawn
+    # (T_s, T_c) with the condition branch updated.
+    ARENA = replace(MEDIUM, d_latent=512, ffn_ratio=8)
+
+    @pytest.mark.parametrize("flags", [{}, {"update_cond_branch": False}, {"use_speaker_condition": False},
+                                       {"n_layers": 1}], ids=["default", "frozen", "no-speaker", "one-layer"])
+    @settings(max_examples=15, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 48), st.integers(1, 64)), min_size=2, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shapes=[(1, 64), (48, 1), (1, 1), (48, 64), (1, 1)], seed=0)
+    def test_arena_survives_growing_and_shrinking(self, flags, shapes, seed):
+        # One closure's arena grows and shrinks with the call; a view kept
+        # across a regrowth, or an arena sized short of one phase's array,
+        # would make some call differ from a fresh forward or fail.
+        params = random_params(replace(self.ARENA, **flags), seed)
+        r = np.random.default_rng(seed)
+        conv = make_converter(params)
+        for t_s, t_c in shapes:
+            z, c, g = random_inputs(params.cfg, r, t_s, t_c)
+            assert np.array_equal(conv(z, c, g), forward(params, z, c, g))
 
     def test_one_positional_table_grows_to_the_longest_length(self, tiny_params, monkeypatch):
         # Training pairs change the condition length with every call; every
