@@ -9,7 +9,7 @@ assignment, segment excision) and the in-scope loss terms live alongside.
 `__all__` is the surface that the command line, the demos and the
 benchmark use; `offline_run` and `stream_run` convert waveforms. The
 building blocks imported here but left out of it, such as `tensor_shapes`
-or `build_report`, are documented in their modules.
+or `compute_t_model`, are documented in their modules.
 """
 from .audio_io import SAMPLE_RATE, Waveform, read_wav, slice_pad, write_wav
 from .codec import CodecInterface, toy_codec, toy_decode, toy_encode
@@ -50,7 +50,6 @@ from .streaming import (
     LatencyReport,
     StreamConfig,
     StreamState,
-    build_report,
     compute_t_model,
     crossfade,
     crossfade_weights,

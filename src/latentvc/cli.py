@@ -28,7 +28,7 @@ from .converter import ConverterConfig, ConverterFn, identity_converter, init_pa
 from .dataprep import MIN_PAIR_DURATION_S, RoleMode, RoleProbs, sample_mode, synth_pair
 from .errors import AudioFormatError, CheckpointError, NonFiniteError
 from .features import mel_spectrogram, speaker_embedding_from_mel
-from .streaming import StreamConfig, build_report, offline_run, stream_run
+from .streaming import LatencyReport, StreamConfig, offline_run, stream_run
 from .trainer import loss_breakdown
 
 
@@ -122,7 +122,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """One warm-up stream, then `--repeats` measured ones pooled into one
-    report (rtf is their mean). The audio of every run is the same."""
+    report of their joined chunk records and mean wall time. The audio of
+    every run is the same, so only the last run's is kept."""
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     load_1m = os.getloadavg()[0]
@@ -130,13 +131,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     source, reference, converter = _inputs(args)
     codec = toy_codec()
     stream_run(source, reference, cfg, codec, converter)  # warm-up, discarded
-    runs = [stream_run(source, reference, cfg, codec, converter) for _ in range(args.repeats)]
-    reports = [report for _, report in runs]
-    mean_wall_s = float(np.mean([r.rtf for r in reports])) * source.duration_s
-    report = build_report(cfg, [t for r in reports for t in r.timings], mean_wall_s, source.duration_s)
-    payload = report.to_dict()
+    reports = []
+    for _ in range(args.repeats):
+        out, report = stream_run(source, reference, cfg, codec, converter)
+        reports.append(report)
+    timings = tuple(t for r in reports for t in r.timings)
+    payload = LatencyReport(cfg, timings, float(np.mean([r.wall_s for r in reports])), source.duration_s).to_dict()
     if args.output is not None:
-        payload["clipped_samples"] = write_wav(args.output, runs[-1][0])
+        payload["clipped_samples"] = write_wav(args.output, out)
     payload["machine"] = _machine(load_1m)
     _emit(payload, args.report)
     return 0

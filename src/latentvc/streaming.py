@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,24 +103,57 @@ def compute_t_model(cfg: StreamConfig) -> float:
 
 @dataclass(frozen=True)
 class LatencyReport:
-    t_model_ms: float
-    t_current_ms: float
-    t_overlap_ms: float
-    t_future_ms: float
-    t_compute_mean_ms: float
-    t_compute_p95_ms: float
-    t_enc_ms: float
-    t_convert_ms: float
-    t_dec_ms: float
-    t_latency_ms: float
-    chunk_count: int
-    rtf: float
-    # The per-chunk (enc, convert, dec) ms samples the fields above summarise;
-    # kept so that reports of repeated runs can be pooled.
-    timings: tuple[tuple[float, float, float], ...] = field(repr=False, compare=False)
+    """The per-chunk (enc, convert, dec) ms records of a stream, or of
+    several streams joined, with the wall time and source duration they
+    cover; every figure is a view of these."""
+
+    cfg: StreamConfig
+    timings: tuple[tuple[float, float, float], ...]
+    wall_s: float
+    duration_s: float
+
+    def __post_init__(self) -> None:
+        if not self.timings:
+            raise ValueError("cannot build a latency report from zero chunks")
+
+    @property
+    def t_model_ms(self) -> float:
+        return compute_t_model(self.cfg)
+
+    @property
+    def t_compute_mean_ms(self) -> float:
+        return float(np.sum(self.timings, axis=1).mean())
+
+    @property
+    def t_compute_p95_ms(self) -> float:
+        return float(np.percentile(np.sum(self.timings, axis=1), 95))
+
+    @property
+    def t_enc_ms(self) -> float:
+        return float(np.asarray(self.timings, dtype=np.float64)[:, 0].mean())
+
+    @property
+    def t_convert_ms(self) -> float:
+        return float(np.asarray(self.timings, dtype=np.float64)[:, 1].mean())
+
+    @property
+    def t_dec_ms(self) -> float:
+        return float(np.asarray(self.timings, dtype=np.float64)[:, 2].mean())
+
+    @property
+    def t_latency_ms(self) -> float:
+        return self.t_model_ms + self.t_compute_mean_ms
+
+    @property
+    def chunk_count(self) -> int:
+        return len(self.timings)
+
+    @property
+    def rtf(self) -> float:
+        return self.wall_s / self.duration_s
 
     def to_dict(self) -> dict:
-        """The JSON payload. Besides the fields, the per-chunk compute
+        """The JSON payload. Besides the figures above, the per-chunk compute
         (enc + convert + dec) gives its median and maximum,
         `deadline_misses` counts the chunks whose compute took longer than
         the current region they emit, and `chunks` lists each chunk's
@@ -128,9 +161,9 @@ class LatencyReport:
         totals = np.sum(self.timings, axis=1)
         return {
             "t_model_ms": self.t_model_ms,
-            "t_current_ms": self.t_current_ms,
-            "t_overlap_ms": self.t_overlap_ms,
-            "t_future_ms": self.t_future_ms,
+            "t_current_ms": self.cfg.current_ms,
+            "t_overlap_ms": self.cfg.overlap_ms,
+            "t_future_ms": self.cfg.future_ms,
             "t_compute_ms": {
                 "mean": self.t_compute_mean_ms,
                 "p50": float(np.median(totals)),
@@ -141,41 +174,11 @@ class LatencyReport:
                 "dec": self.t_dec_ms,
             },
             "t_latency_ms": self.t_latency_ms,
-            "deadline_misses": int(np.count_nonzero(totals > self.t_current_ms)),
+            "deadline_misses": int(np.count_nonzero(totals > self.cfg.current_ms)),
             "chunk_count": self.chunk_count,
             "rtf": self.rtf,
             "chunks": [list(t) for t in self.timings],
         }
-
-
-def build_report(
-    cfg: StreamConfig,
-    timings: list[tuple[float, float, float]],
-    wall_s: float,
-    duration_s: float,
-) -> LatencyReport:
-    """Fold per-chunk (enc, convert, dec) ms samples into a LatencyReport."""
-    if not timings:
-        raise ValueError("cannot build a latency report from zero chunks")
-    arr = np.asarray(timings, dtype=np.float64)
-    totals = arr.sum(axis=1)
-    t_compute_mean = float(totals.mean())
-    t_model = compute_t_model(cfg)
-    return LatencyReport(
-        t_model_ms=t_model,
-        t_current_ms=cfg.current_ms,
-        t_overlap_ms=cfg.overlap_ms,
-        t_future_ms=cfg.future_ms,
-        t_compute_mean_ms=t_compute_mean,
-        t_compute_p95_ms=float(np.percentile(totals, 95)),
-        t_enc_ms=float(arr[:, 0].mean()),
-        t_convert_ms=float(arr[:, 1].mean()),
-        t_dec_ms=float(arr[:, 2].mean()),
-        t_latency_ms=t_model + t_compute_mean,
-        chunk_count=len(timings),
-        rtf=wall_s / duration_s,
-        timings=tuple(timings),
-    )
 
 
 def crossfade_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +238,8 @@ def stream_step(
     emitted with its first O samples cross-faded against the tail retained
     from the previous step (step 0 emits unmodified); the new overlap region
     is retained for the next step. A converter output with a NaN or Inf
-    raises NonFiniteError naming step k, before the state advances. The
+    raises NonFiniteError naming step k, and a decode whose length differs
+    from the window's raises ValueError, both before the state advances. The
     window must be a whole number of `codec.hop` frames.
     """
     if k != state.k:
@@ -262,6 +266,8 @@ def stream_step(
     t2 = time.perf_counter()
     y = codec.decode(z_hat)
     t3 = time.perf_counter()
+    if len(y) != len(window):
+        raise ValueError(f"step {k} decoded {len(y)} samples from a {len(window)}-sample window")
 
     out = y.samples[H : H + C].copy()
     new_tail = y.samples[H + C : H + C + O].copy()
@@ -290,20 +296,15 @@ def stream_run(
         raise ValueError("source must contain at least one sample")
     wall_start = time.perf_counter()
     state = init_stream(reference)
-    C = cfg.current_samples
-    O = cfg.overlap_samples
-    F = cfg.future_samples
-    steps = math.ceil(n / C)
     chunks, timings = [], []
-    for k in range(steps):
-        flush = k * C + C + O + F > n
-        chunk, state, t = stream_step(state, cfg, source, k, codec, converter, flush=flush)
+    for k in range(math.ceil(n / cfg.current_samples)):
+        # the whole source is here, so there is no input to wait for
+        chunk, state, t = stream_step(state, cfg, source, k, codec, converter, flush=True)
         chunks.append(chunk)
         timings.append(t)
     out = np.concatenate(chunks)[:n]
     wall_s = time.perf_counter() - wall_start
-    report = build_report(cfg, timings, wall_s, duration_s=source.duration_s)
-    return Waveform(out), report
+    return Waveform(out), LatencyReport(cfg, tuple(timings), wall_s, source.duration_s)
 
 
 def offline_run(
@@ -315,7 +316,8 @@ def offline_run(
     """Single-pass conversion of the whole utterance; returns (audio, rtf).
 
     The source is zero-padded up to a codec-hop multiple for encoding and
-    the output trimmed back, so lengths match exactly.
+    the output trimmed back, so lengths match exactly; a decode of another
+    length than the encoded audio raises ValueError.
     """
     n = len(source)
     if n < 1:
@@ -325,6 +327,8 @@ def offline_run(
     padded = slice_pad(source, 0, math.ceil(n / codec.hop) * codec.hop)
     z = codec.encode(padded)
     y = codec.decode(converter(z, ref.cond_mel, ref.spk))
+    if len(y) != len(padded):
+        raise ValueError(f"decoded {len(y)} samples from {len(padded)} encoded ones")
     out = Waveform(y.samples[:n])
     wall_s = time.perf_counter() - wall_start
     return out, wall_s / source.duration_s

@@ -107,6 +107,17 @@ class TestBench:
                                              "--repeats", str(repeats), *GEOMETRY])
             assert code == 0
             assert payload["chunk_count"] == len(payload["chunks"]) == repeats * steps
+            # the pooled summaries are those of the joined chunk records
+            records = np.asarray(payload["chunks"])
+            totals = records.sum(axis=1)
+            summary = payload["t_compute_ms"]
+            assert summary["mean"] == pytest.approx(totals.mean(), rel=1e-12)
+            assert summary["p50"] == pytest.approx(np.median(totals), rel=1e-12)
+            assert summary["p95"] == pytest.approx(np.percentile(totals, 95), rel=1e-12)
+            assert summary["max"] == totals.max()
+            stages = [summary[stage] for stage in ("enc", "convert", "dec")]
+            assert stages == pytest.approx(records.mean(axis=0), rel=1e-12)
+            assert payload["deadline_misses"] == int(np.count_nonzero(totals > payload["t_current_ms"]))
 
     def test_pools_deadline_misses_across_repeats(self, capsys, wav_pair, monkeypatch):
         # Every 8th chunk takes over its 16 ms current region; a stream is

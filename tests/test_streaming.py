@@ -26,8 +26,8 @@ from latentvc import (
     CodecInterface,
     NonFiniteError,
     StreamConfig,
+    LatencyReport,
     Waveform,
-    build_report,
     compute_t_model,
     crossfade,
     crossfade_weights,
@@ -259,6 +259,26 @@ class TestStreamStep:
         assert state.k == 2
         assert state.retained_tail is tail
 
+    @pytest.mark.parametrize("codec,converter", [
+        (toy_codec(), lambda z, c, g: z[:-1]),
+        (CodecInterface(toy_encode, lambda z: toy_decode(z[:-1])), identity_converter),
+    ], ids=["converter-drops-a-row", "codec-decodes-a-frame-short"])
+    def test_wrong_length_decode_names_the_step(self, short_wave, codec, converter):
+        cfg = small_cfg()
+        W = cfg.window_samples
+        src = make_wave(4 * cfg.current_samples, seed=4)
+        state = init_stream(short_wave)
+        stream_step(state, cfg, src, 0, toy_codec(), identity_converter)
+        tail = state.retained_tail
+        with pytest.raises(ValueError, match=f"step 1 decoded {W - 256} samples from a {W}-sample window"):
+            stream_step(state, cfg, src, 1, codec, converter)
+        assert state.k == 1
+        assert state.retained_tail is tail
+        with pytest.raises(ValueError, match="step 0 decoded"):
+            stream_run(src, short_wave, cfg, codec, converter)
+        with pytest.raises(ValueError, match="decoded 768 samples from 1024 encoded ones"):
+            offline_run(src, short_wave, codec, converter)
+
     def test_window_is_checked_against_the_codec_hop(self, short_wave):
         # 38400 samples is a multiple of 256 but not of 500
         codec = CodecInterface(toy_encode, toy_decode, hop=500)
@@ -333,10 +353,10 @@ class TestInitStream:
 
 
 class TestLatencyReport:
-    def test_build_report_aggregates(self):
+    def test_figures_derive_from_the_timings(self):
         cfg = StreamConfig()
-        timings = [(float(i + 1), 0.0, 0.0) for i in range(20)]
-        rep = build_report(cfg, timings, wall_s=2.0, duration_s=4.0)
+        timings = tuple((float(i + 1), 0.0, 0.0) for i in range(20))
+        rep = LatencyReport(cfg, timings, wall_s=2.0, duration_s=4.0)
         assert rep.t_compute_mean_ms == pytest.approx(10.5)
         assert rep.t_compute_p95_ms == pytest.approx(19.05)
         assert rep.t_enc_ms == pytest.approx(10.5)
@@ -347,16 +367,16 @@ class TestLatencyReport:
 
     def test_latency_is_model_plus_compute(self):
         cfg = StreamConfig()
-        rep = build_report(cfg, [(1.0, 2.0, 3.0)], wall_s=0.01, duration_s=0.12)
+        rep = LatencyReport(cfg, ((1.0, 2.0, 3.0),), wall_s=0.01, duration_s=0.12)
         assert rep.t_latency_ms == pytest.approx(rep.t_model_ms + rep.t_compute_mean_ms)
         assert rep.t_compute_mean_ms == pytest.approx(6.0)
 
     def test_rejects_empty_timings(self):
         with pytest.raises(ValueError):
-            build_report(StreamConfig(), [], wall_s=1.0, duration_s=1.0)
+            LatencyReport(StreamConfig(), (), wall_s=1.0, duration_s=1.0)
 
     def test_to_dict_schema(self):
-        rep = build_report(StreamConfig(), [(1.0, 2.0, 3.0)], wall_s=0.5, duration_s=1.0)
+        rep = LatencyReport(StreamConfig(), ((1.0, 2.0, 3.0),), wall_s=0.5, duration_s=1.0)
         d = rep.to_dict()
         assert set(d) == {"t_model_ms", "t_current_ms", "t_overlap_ms", "t_future_ms",
                           "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf", "chunks"}
@@ -365,8 +385,8 @@ class TestLatencyReport:
     def test_to_dict_reads_p50_max_and_misses_from_the_timings(self):
         # chunk compute 102, 120, 120.5, 151, 64 ms against a 120 ms current
         # region: 120 ms is on time, 120.5 and 151 ms are late
-        timings = [(1.0, 100.0, 1.0), (1.0, 118.0, 1.0), (1.0, 118.0, 1.5), (0.5, 150.0, 0.5), (2.0, 60.0, 2.0)]
-        d = build_report(StreamConfig(), timings, wall_s=0.5, duration_s=0.6).to_dict()
+        timings = ((1.0, 100.0, 1.0), (1.0, 118.0, 1.0), (1.0, 118.0, 1.5), (0.5, 150.0, 0.5), (2.0, 60.0, 2.0))
+        d = LatencyReport(StreamConfig(), timings, wall_s=0.5, duration_s=0.6).to_dict()
         assert d["t_compute_ms"]["p50"] == 120.0
         assert d["t_compute_ms"]["max"] == 151.0
         assert d["deadline_misses"] == 2
@@ -374,14 +394,67 @@ class TestLatencyReport:
 
     def test_to_dict_lists_every_chunk_in_order(self):
         # the records are the timings, so the late chunks can be named
-        timings = [(0.5, 10.0, 0.5), (1.0, 130.0, 1.0), (0.5, 119.0, 0.5), (2.0, 200.0, 2.0)]
-        d = build_report(StreamConfig(), timings, wall_s=0.5, duration_s=0.48).to_dict()
+        timings = ((0.5, 10.0, 0.5), (1.0, 130.0, 1.0), (0.5, 119.0, 0.5), (2.0, 200.0, 2.0))
+        d = LatencyReport(StreamConfig(), timings, wall_s=0.5, duration_s=0.48).to_dict()
         assert d["chunks"] == [list(t) for t in timings]
         late = [k for k, rec in enumerate(d["chunks"]) if sum(rec) > d["t_current_ms"]]
         assert late == [1, 3] and d["deadline_misses"] == len(late)
         assert json.loads(json.dumps(d)) == d
 
 
+
+
+def report_figures(timings, wall_s, duration_s):
+    """Every figure of a report's payload, recomputed longhand from its records."""
+    totals = sorted(sum(rec) for rec in timings)
+    n = len(totals)
+    pos = 0.95 * (n - 1)
+    lo = math.floor(pos)
+    hi = min(lo + 1, n - 1)
+    mean = math.fsum(totals) / n
+    return {
+        "mean": mean,
+        "p50": (totals[(n - 1) // 2] + totals[n // 2]) / 2,
+        "p95": totals[lo] + (totals[hi] - totals[lo]) * (pos - lo),
+        "max": totals[-1],
+        "enc": math.fsum(rec[0] for rec in timings) / n,
+        "convert": math.fsum(rec[1] for rec in timings) / n,
+        "dec": math.fsum(rec[2] for rec in timings) / n,
+        "t_latency_ms": 240.0 + mean,
+        "deadline_misses": sum(t > 120.0 for t in totals),
+        "chunk_count": n,
+        "rtf": wall_s / duration_s,
+    }
+
+
+chunk_records = st.lists(st.tuples(*[st.floats(0.0, 1e4)] * 3), min_size=1, max_size=50).map(tuple)
+
+
+class TestLatencyReportProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(a=chunk_records, b=chunk_records,
+           walls=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)), duration_s=st.floats(1e-2, 1e3))
+    @example(a=((60.0, 60.0, 0.0), (1.0, 119.0, 0.5)), b=((0.0, 0.0, 0.0),), walls=(1.0, 3.0), duration_s=2.0)
+    def test_every_figure_recomputes_from_its_chunks(self, a, b, walls, duration_s):
+        cfg = StreamConfig()
+        reports = [LatencyReport(cfg, t, w, duration_s) for t, w in zip((a, b), walls)]
+        pooled = LatencyReport(cfg, a + b, (walls[0] + walls[1]) / 2, duration_s)
+        for rep in (*reports, pooled):
+            d = rep.to_dict()
+            assert d["chunks"] == [list(rec) for rec in rep.timings]
+            want = report_figures(d["chunks"], rep.wall_s, duration_s)
+            for key in ("mean", "p50", "p95", "max", "enc", "convert", "dec"):
+                assert d["t_compute_ms"][key] == pytest.approx(want[key], rel=1e-12, abs=1e-9), key
+            assert d["t_latency_ms"] == pytest.approx(want["t_latency_ms"], rel=1e-12)
+            assert d["rtf"] == pytest.approx(want["rtf"], rel=1e-12)
+            assert (d["deadline_misses"], d["chunk_count"]) == (want["deadline_misses"], want["chunk_count"])
+            geometry = (d["t_model_ms"], d["t_current_ms"], d["t_overlap_ms"], d["t_future_ms"])
+            assert geometry == (240.0, 120.0, 20.0, 100.0)
+        assert pooled.chunk_count == len(a) + len(b)
+        assert pooled.to_dict()["deadline_misses"] == sum(r.to_dict()["deadline_misses"] for r in reports)
+        assert pooled.rtf == pytest.approx(sum(r.rtf for r in reports) / 2, rel=1e-12)
+        assert (reports[0] == reports[1]) == (a == b and walls[0] == walls[1])
+        assert reports[0] == LatencyReport(cfg, a, walls[0], duration_s)
 
 
 class TestStreamingProperties:
