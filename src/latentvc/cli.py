@@ -122,8 +122,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """One warm-up stream, then `--repeats` measured ones pooled into one
-    report of their joined chunk records and mean wall time. The audio of
-    every run is the same, so only the last run's is kept."""
+    report of their joined chunk records and mean wall time, whose queue
+    restarts at each run. The audio of every run is the same, so only the
+    last run's is kept."""
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     load_1m = os.getloadavg()[0]
@@ -136,7 +137,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         out, report = stream_run(source, reference, cfg, codec, converter)
         reports.append(report)
     timings = tuple(t for r in reports for t in r.timings)
-    payload = LatencyReport(cfg, timings, float(np.mean([r.wall_s for r in reports])), source.duration_s).to_dict()
+    wall_s = float(np.mean([r.wall_s for r in reports]))
+    payload = LatencyReport(cfg, timings, wall_s, source.duration_s, args.repeats).to_dict()
     if args.output is not None:
         payload["clipped_samples"] = write_wav(args.output, out)
     payload["machine"] = _machine(load_1m)

@@ -424,12 +424,16 @@ def _convert(
 
     # The branches share `ln` and the `work` arena (see `forward`). The
     # arena's phases, each done with before the next starts: the staged
-    # latents; [qkv | attention output | scores]; the FFN hidden array. Both
-    # are sized for the call up front, so a call never regrows either while
-    # an older view of it is alive.
+    # latents; the packed qkv, whose query rows take the attention output;
+    # the FFN hidden array. `ln` holds a branch's normed state or sublayer
+    # output, or attention's scores, which are live only between the last
+    # QKV product and the first attention-out product. Both are sized for
+    # the call up front, so a call never regrows either while an older view
+    # of it is alive.
     T_u = T_c if update and cfg.n_layers > 1 else 0  # condition tokens that are updated
-    arena = max(cfg.d_latent * T_s, 3 * d * T + (d + T) * (T_s + T_u), d_ffn * max(T_s, T_u))
-    ln, work = _buf(scratch, "ln", (d * max(T_s, T_c),), dtype), _buf(scratch, "work", (arena,), dtype)
+    ln_size = max(d * max(T_s, T_c), T * (T_s + T_u))
+    arena = max(cfg.d_latent * T_s, 3 * d * T, d_ffn * max(T_s, T_u))
+    ln, work = _buf(scratch, "ln", (ln_size,), dtype), _buf(scratch, "work", (arena,), dtype)
     zT = _at(work, (cfg.d_latent, T_s))
     np.copyto(zT, z.T)
     h_src = _buf(scratch, "src.h", (d, T_s), dtype)
@@ -459,18 +463,19 @@ def _convert(
             p = f"layers.{i}.{br}."
             _qkv_into(t, p, h, prep.mods[i][br][:2], _at(ln, h.shape), qkv[-len(t[p + "qkv.b"]) :, cols], q_scale)
 
-        # One head at a time through one score buffer, keys on rows:
+        # One head at a time through one score buffer in `ln`, keys on rows:
         # scores[key, query]. The softmax reduces over axis 0 and its
-        # normalisation is applied to the head's (d_head, T_q) output.
-        attn = _at(work, (d, T_q), 3 * d * T)
-        scores = _at(work, (T, T_q), 3 * d * T + d * T_q)
-        attn_heads = attn.reshape(n_heads, d_head, T_q)
+        # normalisation is applied to the head's (d_head, T_q) output, which
+        # overwrites the head's query rows: its score product has read them,
+        # and no other head reads them.
+        scores = _at(ln, (T, T_q))
         for k in range(n_heads):
-            np.matmul(kT_heads[k], q_heads[k, :, :T_q], out=scores)
+            q = q_heads[k, :, :T_q]
+            np.matmul(kT_heads[k], q, out=scores)
             scores -= scores.max(axis=0)
             np.exp(scores, out=scores)
-            np.matmul(v_heads[k], scores, out=attn_heads[k])
-            attn_heads[k] /= scores.sum(axis=0)
+            np.matmul(v_heads[k], scores, out=q)
+            q /= scores.sum(axis=0)
 
         # The branches are independent from here on: each one that is updated
         # runs its attention output, then its FFN, each with its gated
@@ -480,7 +485,7 @@ def _convert(
         for br, h, cols in live:
             p = f"layers.{i}.{br}."
             out = _at(ln, h.shape)
-            np.matmul(_w(t, p + "attn_out.w"), attn[:, cols], out=out)
+            np.matmul(_w(t, p + "attn_out.w"), qkv[:d, cols], out=out)
             _add_gated(h, out, t[p + "attn_out.b"], prep.mods[i][br][2])
         for br, h, cols in live:
             p = f"layers.{i}.{br}."
@@ -541,17 +546,21 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     allocation churn, and page faults were all measured costs.
 
     A call holds four grow-only work buffers: the two branch states
-    `src.h` (d, T_s) and `cond.h` (d, T_c); `ln` (d, max(T_s, T_c)), which
-    the branches share for each layer norm, the attention-out and FFN-out
-    products that follow it, and as GELU's temporary; and one `work` arena,
-    sized for its largest phase, whose storage each phase owns in turn: the
-    codec latents staged in and out, attention's packed QKV (3d, T) beside
-    the attention output (d, T_q) and one (T, T_q) score buffer that
-    attention runs through one head at a time (so scratch grows with T²,
-    not n_heads·T²), then the FFN hidden array, GELU'd in place. Both
-    branches project their attention output before either FFN runs.
-    Positions come from one read-only table per (d_model, dtype), grown to
-    the longest sequence seen.
+    `src.h` (d, T_s) and `cond.h` (d, T_c); `ln`, which the branches share
+    for each layer norm, the attention-out and FFN-out products that follow
+    it, and as GELU's temporary, and which attention uses between the last
+    QKV product and the first attention-out product for its one (T, T_q)
+    score buffer, run through one head at a time (so scratch grows with T²,
+    not n_heads·T²); and one `work` arena whose storage each phase owns in
+    turn: the codec latents staged in and out, attention's packed QKV
+    (3d, T), then the FFN hidden array, GELU'd in place. Each head's
+    (d_head, T_q) output overwrites that head's query rows, which its score
+    product has read and no other head reads. `ln` is sized for the larger
+    of its roles, max(d·max(T_s, T_c), T·T_q), and the arena for its largest
+    phase; T_q is the number of query tokens, T when the condition branch
+    is updated, else T_s. Both branches project their attention output
+    before either FFN runs. Positions come from one read-only table per
+    (d_model, dtype), grown to the longest sequence seen.
     """
     return _convert(params, prepare(params, c, g), z, {}, return_trace)
 
@@ -562,12 +571,13 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     The returned callable is single-stream. It holds no copy of the weights:
     it multiplies with views of `params.tensors` (see `forward` for
     row-major matrices), so building it allocates nothing. It holds one set
-    of the four work buffers `forward` lists, each as large as the largest
-    call has needed, and the prepared state of the last reference it saw,
-    with a private copy of that (c, g) to compare shape, dtype and values
-    against: chunk after chunk of a stream reuses it without copying the
-    reference, and a new or mutated reference recomputes it. Its
-    output is bitwise equal to `forward`. Calling it again while a call is
+    of the four work buffers `forward` lists (the scores in `ln`, the
+    attention output in the packed QKV's query rows), each as large as the
+    largest call has needed, and the prepared state of the last reference
+    it saw, with a private copy of that (c, g) to compare shape, dtype and
+    values against: chunk after chunk of a stream reuses it without copying
+    the reference, and a new or mutated reference recomputes it. Its output
+    is bitwise equal to `forward`. Calling it again while a call is
     running, from another thread or reentrantly, raises RuntimeError rather
     than corrupting the shared buffers; make a separate converter per
     concurrent stream.

@@ -104,17 +104,20 @@ def compute_t_model(cfg: StreamConfig) -> float:
 @dataclass(frozen=True)
 class LatencyReport:
     """The per-chunk (enc, convert, dec) ms records of a stream, or of
-    several streams joined, with the wall time and source duration they
-    cover; every figure is a view of these."""
+    `runs` equal-length streams joined, with the (mean) wall time and the
+    source duration of one run; every figure is a view of these."""
 
     cfg: StreamConfig
     timings: tuple[tuple[float, float, float], ...]
     wall_s: float
     duration_s: float
+    runs: int = 1
 
     def __post_init__(self) -> None:
         if not self.timings:
             raise ValueError("cannot build a latency report from zero chunks")
+        if self.runs < 1 or len(self.timings) % self.runs != 0:
+            raise ValueError(f"{len(self.timings)} chunk records do not split into {self.runs} equal runs")
 
     @property
     def t_model_ms(self) -> float:
@@ -152,13 +155,37 @@ class LatencyReport:
     def rtf(self) -> float:
         return self.wall_s / self.duration_s
 
+    @property
+    def queued_ms(self) -> np.ndarray:
+        """Each chunk's latency as a listener gets it, queue included.
+
+        Within a run, chunk k's window has arrived at a_k = (k+1)*C + O + F
+        ms; the chunk starts once it has and chunk k-1 is done, so it
+        finishes at f_k = max(a_k, f_{k-1}) + compute_k, and its first
+        sample is heard f_k - k*C ms after it was spoken. In those terms
+        q_k = max(t_model, q_{k-1} - C) + compute_k. Each run starts with an
+        empty queue."""
+        t_model, C = self.t_model_ms, self.cfg.current_ms
+        totals = np.sum(self.timings, axis=1)
+        per_run = len(totals) // self.runs
+        queued, q = np.empty_like(totals), 0.0
+        for k, total in enumerate(totals):
+            q = max(t_model, q - C if k % per_run else -math.inf) + total
+            queued[k] = q
+        return queued
+
     def to_dict(self) -> dict:
         """The JSON payload. Besides the figures above, the per-chunk compute
         (enc + convert + dec) gives its median and maximum,
         `deadline_misses` counts the chunks whose compute took longer than
         the current region they emit, and `chunks` lists each chunk's
-        [enc, convert, dec] ms in order, so the late ones can be found."""
+        [enc, convert, dec] ms in order, so the late ones can be found.
+        `queued_ms` lists each chunk's queued latency in the same order,
+        `t_queued_ms` gives its median and maximum, and `late_chunks`
+        counts the chunks that finished after their deadline,
+        f_k > a_k + C, whatever made them late."""
         totals = np.sum(self.timings, axis=1)
+        queued = self.queued_ms
         return {
             "t_model_ms": self.t_model_ms,
             "t_current_ms": self.cfg.current_ms,
@@ -178,6 +205,10 @@ class LatencyReport:
             "chunk_count": self.chunk_count,
             "rtf": self.rtf,
             "chunks": [list(t) for t in self.timings],
+            "queued_ms": queued.tolist(),
+            "t_queued_ms": {"p50": float(np.median(queued)), "max": float(queued.max())},
+            # f_k > a_k + C is q_k > t_model + C
+            "late_chunks": int(np.count_nonzero(queued > self.t_model_ms + self.cfg.current_ms)),
         }
 
 

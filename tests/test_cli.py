@@ -211,11 +211,12 @@ class TestStream:
         assert set(payload) == {
             "t_model_ms", "t_current_ms", "t_overlap_ms", "t_future_ms",
             "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf", "chunks", "clipped_samples",
-            "machine",
+            "machine", "queued_ms", "t_queued_ms", "late_chunks",
         }
         assert set(payload["t_compute_ms"]) == {"mean", "p50", "p95", "max", "enc", "convert", "dec"}
         assert payload["t_model_ms"] == pytest.approx(32.0)
         assert payload["chunk_count"] == math.ceil(8000 / SMALL_STREAM.current_samples) == len(payload["chunks"])
+        assert len(payload["queued_ms"]) == payload["chunk_count"]
         assert payload["t_latency_ms"] == pytest.approx(payload["t_model_ms"] + payload["t_compute_ms"]["mean"])
         assert payload["rtf"] > 0.0
 

@@ -719,23 +719,27 @@ class TestMakeConverter:
         assert peak < MEDIUM.n_heads * (t_s + t_c) ** 2 * 4
 
     def test_cold_forward_holds_four_work_buffers(self):
-        # The packed QKV, the attention output, the scores and the FFN hidden
-        # array (GELU'd in place) share one arena by phase, and the
-        # attention-out and FFN-out products go to `ln`, so a cold call holds
-        # four work buffers, the prepared reference (the condition state and
-        # layer 0's condition q, k, v) and its output. A separate buffer for
-        # the scores, the attention output or an FFN-out product would not
-        # fit in the slack, which covers numpy's ufunc buffers (8192 elements
-        # an operand) and per-column statistics.
+        # The packed QKV and the FFN hidden array (GELU'd in place) share one
+        # arena by phase; each head's attention output overwrites its own
+        # query rows of the packed QKV; the scores, the attention-out and the
+        # FFN-out products go to `ln`. So a cold call holds four work
+        # buffers, the prepared reference (the condition state and layer 0's
+        # condition q, k, v) and its output. A separate buffer for the
+        # scores, the attention output or an FFN-out product would not fit in
+        # the slack, which covers numpy's ufunc buffers (8192 elements an
+        # operand) and per-column statistics.
         params = init_params(MEDIUM, seed=0)
         r = np.random.default_rng(0)
         t_s, t_c = 64, 448
         z, c, g = (r.standard_normal((t_s, MEDIUM.d_latent)), r.standard_normal((t_c, MEDIUM.d_cond)),
                    r.standard_normal(MEDIUM.d_spk))
         d, T = MEDIUM.d_model, t_s + t_c
-        # src.h, cond.h, ln, and work: the staged latents, [qkv | attention output | scores] or the FFN hidden array
-        arena = max(MEDIUM.d_latent * t_s, 3 * d * T + d * T + T * T, MEDIUM.d_ffn * t_c)
-        work = d * t_s + d * t_c + d * t_c + arena
+        # src.h, cond.h, ln (a normed state or the (T, T) scores), and work:
+        # the staged latents, the packed qkv or the FFN hidden array
+        ln = max(d * t_c, T * T)
+        arena = max(MEDIUM.d_latent * t_s, 3 * d * T, MEDIUM.d_ffn * t_c)
+        work = d * t_s + d * t_c + ln + arena
+        assert 4 * work == 1_638_400
         scratch = {}
         _convert(params, prepare(params, c, g), z, scratch)  # also grows the positional table
         assert sorted(scratch) == ["cond.h", "ln", "src.h", "work"]
@@ -743,10 +747,14 @@ class TestMakeConverter:
         y, peak = traced_peak(forward, params, z, c, g)
         assert peak < 4 * (work + 4 * d * t_c) + y.nbytes + 128 * 1024
 
-    # Latents and an FFN wide enough that each of the arena's phases (staged
-    # latents, attention, FFN hidden array) is its largest for some drawn
-    # (T_s, T_c) with the condition branch updated.
-    ARENA = replace(MEDIUM, d_latent=512, ffn_ratio=8)
+    # Latents wide enough that each of the arena's phases (staged latents,
+    # packed QKV, FFN hidden array) is its largest for some drawn (T_s, T_c)
+    # with the condition branch updated: 320·T_s, 192·T and 256·max(T_s, T_c)
+    # at (48, 1), (48, 64) and (1, 64). So is each of `ln`'s roles: at
+    # d_model 64 and T up to 112, T² (up to 12544) is above d·max(T_s, T_c)
+    # (at most 4096) for the larger draws, so the (T, T_q) scores set its
+    # size there and a (d, max(T_s, T_c)) normed state elsewhere.
+    ARENA = replace(MEDIUM, d_latent=320)
 
     @pytest.mark.parametrize("flags", [{}, {"update_cond_branch": False}, {"use_speaker_condition": False},
                                        {"n_layers": 1}], ids=["default", "frozen", "no-speaker", "one-layer"])

@@ -140,6 +140,29 @@ class TestBench:
         assert payload["t_compute_ms"]["max"] == max(totals) >= 30.0
         assert payload["t_compute_ms"]["p50"] == float(np.median(totals))
 
+    def test_queue_restarts_at_each_repeat(self, capsys, wav_pair, monkeypatch):
+        # The last of a stream's 32 chunks overruns its 16 ms current region
+        # by far; a queue carried across the boundary between the two
+        # measured runs would delay the second run's first chunk.
+        calls = []
+
+        def slow_last(z, c, g):
+            calls.append(None)
+            if len(calls) % 32 == 0:
+                time.sleep(0.05)
+            return z
+
+        monkeypatch.setattr(cli, "_converter", lambda args: slow_last)
+        src, ref = wav_pair
+        code, payload = run_cli(capsys, ["bench", "--source", src, "--reference", ref, "--repeats", "2", *GEOMETRY])
+        assert code == 0
+        totals = [sum(rec) for rec in payload["chunks"]]
+        queued, t_model = payload["queued_ms"], payload["t_model_ms"]
+        assert len(queued) == len(totals) == 2 * 32
+        assert queued[31] >= t_model + 50.0 and queued[63] >= t_model + 50.0
+        assert queued[0] == t_model + totals[0] and queued[32] == t_model + totals[32]
+        assert payload["t_queued_ms"]["max"] == max(queued) and payload["late_chunks"] >= 2
+
     def test_audio_matches_single_run(self, capsys, wav_pair, tmp_path, tiny_ckpt):
         src, ref = wav_pair
         paths = {command: str(tmp_path / f"{command}.wav") for command in ("stream", "bench")}

@@ -379,8 +379,10 @@ class TestLatencyReport:
         rep = LatencyReport(StreamConfig(), ((1.0, 2.0, 3.0),), wall_s=0.5, duration_s=1.0)
         d = rep.to_dict()
         assert set(d) == {"t_model_ms", "t_current_ms", "t_overlap_ms", "t_future_ms",
-                          "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf", "chunks"}
+                          "t_compute_ms", "t_latency_ms", "deadline_misses", "chunk_count", "rtf", "chunks",
+                          "queued_ms", "t_queued_ms", "late_chunks"}
         assert set(d["t_compute_ms"]) == {"mean", "p50", "p95", "max", "enc", "convert", "dec"}
+        assert set(d["t_queued_ms"]) == {"p50", "max"}
 
     def test_to_dict_reads_p50_max_and_misses_from_the_timings(self):
         # chunk compute 102, 120, 120.5, 151, 64 ms against a 120 ms current
@@ -401,7 +403,49 @@ class TestLatencyReport:
         assert late == [1, 3] and d["deadline_misses"] == len(late)
         assert json.loads(json.dumps(d)) == d
 
+    def test_queued_latency_drains_after_an_overrun(self):
+        # C, O, F = 120, 20, 100 ms: one chunk at 3x the budget, then nine
+        # at 60 ms. The backlog drains by 60 ms a chunk back to t_model +
+        # compute; four chunks finish after their deadline, one by itself.
+        timings = ((10.0, 340.0, 10.0),) + ((5.0, 50.0, 5.0),) * 9
+        d = LatencyReport(StreamConfig(), timings, wall_s=1.0, duration_s=1.2).to_dict()
+        assert d["queued_ms"] == [600.0, 540.0, 480.0, 420.0, 360.0] + [300.0] * 5
+        assert d["t_queued_ms"] == {"p50": 330.0, "max": 600.0}
+        assert d["late_chunks"] == 4
+        assert d["deadline_misses"] == 1
+        assert d["t_latency_ms"] == pytest.approx(240.0 + 90.0)
 
+    def test_queue_restarts_at_each_run(self):
+        # A run that ends on an overrun leaves a backlog; the next run's
+        # first chunk must not wait for it.
+        run = ((0.0, 60.0, 0.0), (0.0, 360.0, 0.0))
+        joined = LatencyReport(StreamConfig(), run * 2, wall_s=1.0, duration_s=0.24, runs=2).to_dict()
+        assert joined["queued_ms"] == [300.0, 600.0] * 2
+        assert joined["late_chunks"] == 2
+        one_run = LatencyReport(StreamConfig(), run * 2, wall_s=1.0, duration_s=0.48).to_dict()
+        assert one_run["queued_ms"] == [300.0, 600.0, 540.0, 780.0]
+        assert one_run["late_chunks"] == 3
+
+    @pytest.mark.parametrize("records, runs", [(4, 3), (4, 0), (1, 2)])
+    def test_refuses_runs_that_do_not_split_the_records(self, records, runs):
+        with pytest.raises(ValueError, match="equal runs"):
+            LatencyReport(StreamConfig(), ((1.0, 2.0, 3.0),) * records, wall_s=1.0, duration_s=1.0, runs=runs)
+
+
+def queued_longhand(totals, runs, C=120.0, O=20.0, F=100.0):
+    """Per-chunk queued latency f_k - k*C, and how far each chunk finished
+    past its deadline, f_k - (a_k + C), from the arrival and finish times of
+    each run: a_k = (k+1)*C + O + F, f_k = max(a_k, f_{k-1}) + total."""
+    per_run = len(totals) // runs
+    queued, past_deadline = [], []
+    for r in range(runs):
+        f = -math.inf
+        for k, total in enumerate(totals[r * per_run : (r + 1) * per_run]):
+            a = (k + 1) * C + O + F
+            f = max(a, f) + total
+            queued.append(f - k * C)
+            past_deadline.append(f - (a + C))
+    return queued, past_deadline
 
 
 def report_figures(timings, wall_s, duration_s):
@@ -450,6 +494,13 @@ class TestLatencyReportProperties:
             assert (d["deadline_misses"], d["chunk_count"]) == (want["deadline_misses"], want["chunk_count"])
             geometry = (d["t_model_ms"], d["t_current_ms"], d["t_overlap_ms"], d["t_future_ms"])
             assert geometry == (240.0, 120.0, 20.0, 100.0)
+            queued, past = queued_longhand([sum(rec) for rec in rep.timings], rep.runs)
+            assert d["queued_ms"] == pytest.approx(queued, rel=1e-12, abs=1e-6)
+            assert d["t_queued_ms"]["max"] == max(d["queued_ms"])
+            # a finish within rounding of its deadline may count either way
+            assert sum(m > 1e-6 for m in past) <= d["late_chunks"] <= sum(m > -1e-6 for m in past)
+        twice = LatencyReport(cfg, a + a, walls[0], duration_s, runs=2)
+        assert twice.to_dict()["queued_ms"] == reports[0].to_dict()["queued_ms"] * 2
         assert pooled.chunk_count == len(a) + len(b)
         assert pooled.to_dict()["deadline_misses"] == sum(r.to_dict()["deadline_misses"] for r in reports)
         assert pooled.rtf == pytest.approx(sum(r.rtf for r in reports) / 2, rel=1e-12)
