@@ -17,17 +17,18 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import Waveform, read_wav, write_wav
-from .codec import toy_codec
+from .codec import D_LATENT, toy_codec
 from .converter import ConverterConfig, ConverterFn, identity_converter, init_params, load_params, make_converter
 from .dataprep import MIN_PAIR_DURATION_S, RoleMode, RoleProbs, sample_mode, synth_pair
 from .errors import AudioFormatError, CheckpointError, NonFiniteError
-from .features import mel_spectrogram, speaker_embedding_from_mel
+from .features import N_MELS, SPK_DIM, mel_spectrogram, speaker_embedding_from_mel
 from .streaming import LatencyReport, StreamConfig, offline_run, stream_run
 from .trainer import loss_breakdown
 
@@ -48,15 +49,25 @@ def _cpu_model() -> str | None:
         return None
 
 
-def _machine(load_1m_start: float) -> dict:
-    """What a timing ran on: the CPU, the load around the run, numpy, its BLAS
-    and the thread settings that BLAS reads at import."""
+def _usage() -> tuple[float, float, float]:
+    """(1-minute load average, wall clock s, user + system CPU s of this process) now."""
+    cpu = os.times()
+    return os.getloadavg()[0], time.perf_counter(), cpu.user + cpu.system
+
+
+def _machine(start: tuple[float, float, float]) -> dict:
+    """What a timing ran on: the CPU, the load around the run, the wall and
+    CPU seconds since `start` (a `_usage()` taken when the command began),
+    numpy, its BLAS and the thread settings that BLAS reads at import."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    (load_start, wall_start, cpu_start), (load_end, wall_end, cpu_end) = start, _usage()
     return {
         "cpu_model": _cpu_model(),
         "cpu_count": os.cpu_count(),
-        "load_1m_start": load_1m_start,
-        "load_1m_end": os.getloadavg()[0],
+        "load_1m_start": load_start,
+        "load_1m_end": load_end,
+        "wall_s": wall_end - wall_start,
+        "cpu_s": cpu_end - cpu_start,
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -87,9 +98,14 @@ def _converter(args: argparse.Namespace) -> ConverterFn:
     """The identity, checkpoint or seeded-init converter that the flags select."""
     if args.identity:
         return identity_converter
-    if args.checkpoint is not None:
-        return make_converter(load_params(args.checkpoint))
-    return make_converter(init_params(ConverterConfig(), seed=args.seed))
+    if args.checkpoint is None:
+        return make_converter(init_params(ConverterConfig(), seed=args.seed))
+    params = load_params(args.checkpoint)
+    got, need = (params.cfg.d_latent, params.cfg.d_cond, params.cfg.d_spk), (D_LATENT, N_MELS, SPK_DIM)
+    if got != need:
+        raise CheckpointError(f"{args.checkpoint}: widths (d_latent, d_cond, d_spk) = {got} do not fit "
+                              f"the codec and features, which need {need}")
+    return make_converter(params)
 
 
 def _names_one_of(path: str | None, others: tuple[str | Path | None, ...]) -> bool:
@@ -99,7 +115,8 @@ def _names_one_of(path: str | None, others: tuple[str | Path | None, ...]) -> bo
 def _inputs(args: argparse.Namespace) -> tuple[Waveform, Waveform, ConverterFn]:
     if _names_one_of(args.output, (args.source, args.reference, args.checkpoint)):
         raise ValueError("--output must differ from the input paths")
-    return read_wav(args.source), read_wav(args.reference), _converter(args)
+    converter = _converter(args)  # a checkpoint is refused before any audio is read
+    return read_wav(args.source), read_wav(args.reference), converter
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
@@ -111,11 +128,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    load_1m = os.getloadavg()[0]
+    start = _usage()
     cfg = _stream_cfg(args)
     source, reference, converter = _inputs(args)
     out, report = stream_run(source, reference, cfg, toy_codec(), converter)
-    payload = {**report.to_dict(), "clipped_samples": write_wav(args.output, out), "machine": _machine(load_1m)}
+    payload = {**report.to_dict(), "clipped_samples": write_wav(args.output, out), "machine": _machine(start)}
     _emit(payload, args.report)
     return 0
 
@@ -127,7 +144,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     last run's is kept."""
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
-    load_1m = os.getloadavg()[0]
+    start = _usage()
     cfg = _stream_cfg(args)
     source, reference, converter = _inputs(args)
     codec = toy_codec()
@@ -141,7 +158,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     payload = LatencyReport(cfg, timings, wall_s, source.duration_s, args.repeats).to_dict()
     if args.output is not None:
         payload["clipped_samples"] = write_wav(args.output, out)
-    payload["machine"] = _machine(load_1m)
+    payload["machine"] = _machine(start)
     _emit(payload, args.report)
     return 0
 

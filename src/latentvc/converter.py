@@ -209,22 +209,16 @@ def sinusoidal_positions(positions: np.ndarray, d_model: int) -> np.ndarray:
     return pe
 
 
-# One read-only positional table per (d_model, dtype name), grown to the
-# longest sequence seen. A row depends only on its position, so a longer
-# table starts with the rows of a shorter one. The lock keeps concurrent
-# converters from replacing a table with a shorter one.
-_PE_TABLES: dict[tuple[int, str], np.ndarray] = {}
-_PE_LOCK = threading.Lock()
-
-
-def _cached_pe(n: int, d_model: int, dtype_name: str) -> np.ndarray:
-    """`sinusoidal_positions` of 0..n-1 in `dtype_name`: the table's first n rows."""
-    with _PE_LOCK:
-        pe = _PE_TABLES.get((d_model, dtype_name))
-        if pe is None or len(pe) < n:
-            pe = sinusoidal_positions(np.arange(n), d_model).astype(np.dtype(dtype_name))
-            pe.flags.writeable = False
-            _PE_TABLES[d_model, dtype_name] = pe
+def _positions(scratch: dict, n: int, d_model: int, dtype) -> np.ndarray:
+    """`sinusoidal_positions` of 0..n-1 in `dtype`: the first n rows of the
+    read-only table `pe` in `scratch`, recomputed only when a longer sequence
+    arrives. A row depends only on its position, so a longer table starts
+    with the rows of a shorter one."""
+    pe = scratch.get("pe")
+    if pe is None or len(pe) < n:
+        pe = sinusoidal_positions(np.arange(n), d_model).astype(dtype)
+        pe.flags.writeable = False
+        scratch["pe"] = pe
     return pe[:n]
 
 
@@ -356,11 +350,12 @@ class Prepared:
     cond_qkv: tuple[np.ndarray, ...]
 
 
-def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray) -> Prepared:
+def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray, scratch: dict) -> Prepared:
     """Validate the reference (c, g) and compute its per-reference state.
 
     The condition stream gets its input projection and positions (starting
-    at 0); the speaker vector gives the modulations of every layer.
+    at 0, from the table in the caller's `scratch`); the speaker vector
+    gives the modulations of every layer.
     """
     cfg, t = params.cfg, params.tensors
     dtype = t["src_in.w"].dtype
@@ -383,7 +378,7 @@ def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray) -> Prepared:
         mods = [{"src": (None,) * 6, "cond": (None,) * 6}] * cfg.n_layers
     h_cond0 = _w(t, "cond_in.w") @ np.ascontiguousarray(c.T, dtype=dtype)
     h_cond0 += t["cond_in.b"][:, None]
-    h_cond0 += _cached_pe(T_c, d, dtype.name).T
+    h_cond0 += _positions(scratch, T_c, d, dtype).T
     rows = [len(t["layers.0.cond.qkv.b"])] if cfg.update_cond_branch else [2 * d] * cfg.n_layers
     ln, q_scale = np.empty_like(h_cond0), _q_scale(cfg, dtype)
     cond_qkv = tuple(
@@ -404,7 +399,7 @@ def _convert(
 ):
     """The per-chunk body of `forward`: source latents through the blocks
     against a prepared reference, reusing the four grow-only work buffers
-    in `scratch`."""
+    and the position table in `scratch`."""
     cfg = params.cfg
     t = params.tensors
     dtype = t["src_in.w"].dtype
@@ -439,7 +434,7 @@ def _convert(
     h_src = _buf(scratch, "src.h", (d, T_s), dtype)
     np.matmul(_w(t, "src_in.w"), zT, out=h_src)
     h_src += t["src_in.b"][:, None]
-    h_src += _cached_pe(T_s, d, dtype.name).T
+    h_src += _positions(scratch, T_s, d, dtype).T
     h_cond = _buf(scratch, "cond.h", (d, T_c), dtype)
     np.copyto(h_cond, prep.h_cond0)
     trace = [(h_src.T.copy(), h_cond.T.copy())] if return_trace else None
@@ -559,10 +554,12 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     of its roles, max(d·max(T_s, T_c), T·T_q), and the arena for its largest
     phase; T_q is the number of query tokens, T when the condition branch
     is updated, else T_s. Both branches project their attention output
-    before either FFN runs. Positions come from one read-only table per
-    (d_model, dtype), grown to the longest sequence seen.
+    before either FFN runs. Positions are the first rows of one read-only
+    table kept beside the work buffers and recomputed only when a longer
+    sequence arrives; here all of them die with the call.
     """
-    return _convert(params, prepare(params, c, g), z, {}, return_trace)
+    scratch: dict = {}
+    return _convert(params, prepare(params, c, g, scratch), z, scratch, return_trace)
 
 
 def make_converter(params: ConverterParams) -> ConverterFn:
@@ -573,14 +570,15 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     row-major matrices), so building it allocates nothing. It holds one set
     of the four work buffers `forward` lists (the scores in `ln`, the
     attention output in the packed QKV's query rows), each as large as the
-    largest call has needed, and the prepared state of the last reference
-    it saw, with a private copy of that (c, g) to compare shape, dtype and
-    values against: chunk after chunk of a stream reuses it without copying
-    the reference, and a new or mutated reference recomputes it. Its output
-    is bitwise equal to `forward`. Calling it again while a call is
-    running, from another thread or reentrantly, raises RuntimeError rather
-    than corrupting the shared buffers; make a separate converter per
-    concurrent stream.
+    largest call has needed, and a position table as long as the longest
+    sequence it has seen, all freed with it. It also holds the prepared
+    state of the last reference it saw, with a private copy of that (c, g)
+    to compare shape, dtype and values against: chunk after chunk of a
+    stream reuses it without copying the reference, and a new or mutated
+    reference recomputes it. Its output is bitwise equal to `forward`.
+    Calling it again while a call is running, from another thread or
+    reentrantly, raises RuntimeError rather than corrupting the shared
+    buffers; make a separate converter per concurrent stream.
     """
     scratch: dict = {}
     busy = threading.Lock()
@@ -595,7 +593,7 @@ def make_converter(params: ConverterParams) -> ConverterFn:
             # array_equal is False for different shapes; a failed prepare
             # leaves the previous reference and its state in place
             if ref is None or any(a.dtype != b.dtype or not np.array_equal(a, b) for a, b in zip((c, g), ref)):
-                ref_state = prepare(params, c, g)
+                ref_state = prepare(params, c, g, scratch)
                 ref = c.copy(), g.copy()
             return _convert(params, ref_state, z, scratch)
         finally:

@@ -48,6 +48,8 @@ class RoleProbs:
     p_rev: float = 0.4
 
     def __post_init__(self) -> None:
+        if not np.isfinite((self.p_std, self.p_recon, self.p_rev)).all():
+            raise ValueError("mode probabilities must be finite")
         if min(self.p_std, self.p_recon, self.p_rev) < 0:
             raise ValueError("mode probabilities must be >= 0")
         total = self.p_std + self.p_recon + self.p_rev
@@ -117,8 +119,8 @@ def synth_pair(content_seed: int, speaker_a: int, speaker_b: int, duration_s: fl
     Everything is deterministic in (content_seed, speaker ids), and the two
     outputs are sample-aligned by construction.
     """
-    if duration_s < MIN_PAIR_DURATION_S:
-        raise ValueError(f"duration_s must be >= {MIN_PAIR_DURATION_S}, got {duration_s}")
+    if not (np.isfinite(duration_s) and duration_s >= MIN_PAIR_DURATION_S):
+        raise ValueError(f"duration_s must be finite and >= {MIN_PAIR_DURATION_S}, got {duration_s}")
     n = int(round(duration_s * SAMPLE_RATE))
     content = _content_signal(content_seed, n)
     return UtterancePair(

@@ -7,6 +7,7 @@ input files, 4 non-finite values in the pipeline.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,21 @@ class TestConvert:
         assert code == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["convert", "stream"])
+    @pytest.mark.parametrize("widths", [(6, 128, 192), (1024, 4, 192), (1024, 128, 3)], ids=["latent", "cond", "spk"])
+    def test_checkpoint_that_does_not_fit_the_codec_exits_3_before_reading_audio(
+            self, capsys, wavs, tmp_path, monkeypatch, command, widths):
+        src, ref = wavs
+        ckpt = tmp_path / "narrow.ckpt"
+        d_latent, d_cond, d_spk = widths
+        save_params(ckpt, init_params(replace(WIDE_TINY, d_latent=d_latent, d_cond=d_cond, d_spk=d_spk), seed=0))
+        monkeypatch.setattr("latentvc.cli.read_wav", lambda path: pytest.fail(f"read {path}"))
+        assert main([command, "--source", src, "--reference", ref, "--output", str(tmp_path / "out.wav"),
+                     "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"(d_latent, d_cond, d_spk) = {widths}" in err
+        assert not (tmp_path / "out.wav").exists()
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
@@ -230,11 +246,12 @@ class TestStream:
                                          "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY])
         assert code == 0
         machine = payload["machine"]
-        assert set(machine) == {"cpu_model", "cpu_count", "load_1m_start", "load_1m_end", "numpy", "blas",
-                                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert set(machine) == {"cpu_model", "cpu_count", "load_1m_start", "load_1m_end", "wall_s", "cpu_s",
+                                "numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
         assert machine["cpu_model"] is None or (isinstance(machine["cpu_model"], str) and machine["cpu_model"])
         assert machine["cpu_count"] is None or isinstance(machine["cpu_count"], int)
-        assert all(isinstance(machine[k], float) and machine[k] >= 0.0 for k in ("load_1m_start", "load_1m_end"))
+        assert all(isinstance(machine[k], float) and machine[k] >= 0.0 for k in ("load_1m_start", "load_1m_end", "cpu_s"))
+        assert isinstance(machine["wall_s"], float) and machine["wall_s"] > 0.0
         assert machine["numpy"] == np.__version__
         assert set(machine["blas"]) == {"name", "version"}
         assert all(v is None or isinstance(v, str) for v in machine["blas"].values())
@@ -434,6 +451,12 @@ class TestSampleRoles:
 
     def test_non_normalized_probs_exit_2(self, capsys):
         assert main(["sample-roles", "--probs", "0.5,0.4,0.2"]) == 2
+
+    @pytest.mark.parametrize("probs", ["nan,nan,nan", "1,nan,0", "inf,0,0", "0,0,-inf"])
+    def test_non_finite_probs_exit_2(self, capsys, probs):
+        assert main(["sample-roles", "--draws", "1000", "--probs", probs]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("draws", ["0", "-3"])
     def test_draws_below_one_exit_2(self, capsys, draws):

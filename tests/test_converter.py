@@ -44,7 +44,7 @@ from latentvc import (
 )
 
 import latentvc.converter as converter_module
-from latentvc.converter import _GELU_C, _cached_pe, _convert, _gelu_in_place, _replacing, prepare
+from latentvc.converter import _GELU_C, _convert, _gelu_in_place, _positions, _replacing, prepare
 
 from conftest import TINY
 
@@ -723,11 +723,12 @@ class TestMakeConverter:
         # arena by phase; each head's attention output overwrites its own
         # query rows of the packed QKV; the scores, the attention-out and the
         # FFN-out products go to `ln`. So a cold call holds four work
-        # buffers, the prepared reference (the condition state and layer 0's
-        # condition q, k, v) and its output. A separate buffer for the
-        # scores, the attention output or an FFN-out product would not fit in
-        # the slack, which covers numpy's ufunc buffers (8192 elements an
-        # operand) and per-column statistics.
+        # buffers, the position table of its longer sequence, the prepared
+        # reference (the condition state and layer 0's condition q, k, v) and
+        # its output. A separate buffer for the scores, the attention output
+        # or an FFN-out product would not fit in the slack, which covers
+        # numpy's ufunc buffers (8192 elements an operand) and per-column
+        # statistics.
         params = init_params(MEDIUM, seed=0)
         r = np.random.default_rng(0)
         t_s, t_c = 64, 448
@@ -740,12 +741,14 @@ class TestMakeConverter:
         arena = max(MEDIUM.d_latent * t_s, 3 * d * T, MEDIUM.d_ffn * t_c)
         work = d * t_s + d * t_c + ln + arena
         assert 4 * work == 1_638_400
+        pe = max(t_s, t_c) * d  # the position table, built inside each forward call
+        assert 4 * pe == 114_688
         scratch = {}
-        _convert(params, prepare(params, c, g), z, scratch)  # also grows the positional table
-        assert sorted(scratch) == ["cond.h", "ln", "src.h", "work"]
-        assert sum(a.nbytes for a in scratch.values()) == 4 * work
+        _convert(params, prepare(params, c, g, scratch), z, scratch)
+        assert sorted(scratch) == ["cond.h", "ln", "pe", "src.h", "work"]
+        assert sum(a.nbytes for a in scratch.values()) == 4 * (work + pe)
         y, peak = traced_peak(forward, params, z, c, g)
-        assert peak < 4 * (work + 4 * d * t_c) + y.nbytes + 128 * 1024
+        assert peak < 4 * (work + pe + 4 * d * t_c) + y.nbytes + 128 * 1024
 
     # Latents wide enough that each of the arena's phases (staged latents,
     # packed QKV, FFN hidden array) is its largest for some drawn (T_s, T_c)
@@ -773,20 +776,51 @@ class TestMakeConverter:
             z, c, g = random_inputs(params.cfg, r, t_s, t_c)
             assert np.array_equal(conv(z, c, g), forward(params, z, c, g))
 
-    def test_one_positional_table_grows_to_the_longest_length(self, tiny_params, monkeypatch):
+    def test_one_positional_table_grows_to_the_longest_length(self, tiny_params):
         # Training pairs change the condition length with every call; every
-        # length reads the first rows of one table rather than a copy of its own.
-        monkeypatch.setattr(converter_module, "_PE_TABLES", {})
+        # length reads the first rows of its scratch's one table rather than
+        # a copy of its own, and another scratch keeps its own table.
         d = tiny_params.cfg.d_model
         lengths = [int(n) for n in np.random.default_rng(3).permutation(np.arange(2, 82, 2))]
-        conv = make_converter(tiny_params)
+        scratch, other = {}, {}
+        z, c, g = tiny_inputs(0, t_s=1, t_c=1)
+        _convert(tiny_params, prepare(tiny_params, c, g, other), z, other)
+        other_table = other["pe"]
         for t_c in lengths:
-            conv(*tiny_inputs(t_c, t_s=1, t_c=t_c))
-        assert list(converter_module._PE_TABLES) == [(d, "float32")]
-        table = converter_module._PE_TABLES[d, "float32"]
+            z, c, g = tiny_inputs(t_c, t_s=1, t_c=t_c)
+            _convert(tiny_params, prepare(tiny_params, c, g, scratch), z, scratch)
+        table = scratch["pe"]
         assert len(lengths) == 40 and len(table) == max(lengths) and not table.flags.writeable
         for n in (1, *lengths):
-            assert np.array_equal(_cached_pe(n, d, "float32"), sinusoidal_positions(np.arange(n), d).astype(np.float32))
+            want = sinusoidal_positions(np.arange(n), d).astype(np.float32)
+            assert np.array_equal(_positions(scratch, n, d, np.float32), want)
+        assert scratch["pe"] is table
+        assert other["pe"] is other_table and len(other_table) == 1
+
+    def test_positions_are_computed_only_when_the_longest_length_grows(self, tiny_params, monkeypatch):
+        # Each training example brings a new reference, so `prepare` runs on
+        # every call; the table is recomputed only for a sequence longer than
+        # any the converter has seen, the condition's first, then the source's.
+        r = np.random.default_rng(8)
+        inputs = [tiny_inputs(j, t_s=int(t_s), t_c=int(t_c))
+                  for j, (t_s, t_c) in enumerate(zip(r.integers(1, 24, 40), r.integers(1, 48, 40)))]
+        wants = [forward(tiny_params, *x) for x in inputs]
+        calls = []
+
+        def counted(positions, d_model):
+            calls.append(len(positions))
+            return sinusoidal_positions(positions, d_model)
+
+        monkeypatch.setattr(converter_module, "sinusoidal_positions", counted)
+        conv = make_converter(tiny_params)
+        grows, longest = [], 0
+        for (z, c, g), want in zip(inputs, wants):
+            assert np.array_equal(conv(z, c, g), want)
+            for n in (len(c), len(z)):
+                if n > longest:
+                    grows.append(n)
+                    longest = n
+        assert calls == grows and len(calls) < 10
 
     def test_refused_reference_is_refused_again(self, tiny_params):
         # A reference that prepare refuses must not become the cached one,

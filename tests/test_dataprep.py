@@ -5,6 +5,8 @@ target utterance and the reported segment start; the role sampler is
 checked against known inverse-CDF boundaries and long-run frequencies.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,13 @@ class TestRoleProbs:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             RoleProbs(0.5, 0.2, 0.4)
+
+    # NaN compares false, so the sign and sum checks alone would let it through.
+    @pytest.mark.parametrize("probs", [(math.nan, 0.0, 1.0), (1.0, math.nan, 0.0), (math.nan,) * 3,
+                                       (math.inf, 0.0, 0.0), (0.0, 0.0, math.inf), (math.inf, math.nan, 0.0)])
+    def test_rejects_non_finite(self, probs):
+        with pytest.raises(ValueError, match="finite"):
+            RoleProbs(*probs)
 
 
 class TestSampleMode:
@@ -106,6 +115,11 @@ class TestSynthPair:
     def test_rejects_short_duration(self):
         with pytest.raises(ValueError):
             synth_pair(7, 1, 2, duration_s=4.7)
+
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf])
+    def test_rejects_non_finite_duration(self, duration_s):
+        with pytest.raises(ValueError, match="finite"):
+            synth_pair(7, 1, 2, duration_s=duration_s)
 
     def test_deterministic(self):
         a = synth_pair(3, 5, 6, duration_s=4.8)
