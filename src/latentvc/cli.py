@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: convert (offline), stream, bench, features, make-pairs,
-sample-roles, eval-loss. Each prints a small JSON payload to stdout;
-`--report` additionally writes that payload to a file, which must not be
-an input or a file the command writes. This is the one place that reads
+sample-roles, eval-loss. Each returns a small JSON payload, which `main`
+prints to stdout; `--report` additionally writes it to a file, which must
+not be an input or a file the command writes. This is the one place that reads
 paths and flags: the commands call `offline_run` and `stream_run` and
 write `--output`.
 
@@ -31,13 +31,6 @@ from .errors import AudioFormatError, CheckpointError, NonFiniteError
 from .features import N_MELS, SPK_DIM, mel_spectrogram, speaker_embedding_from_mel
 from .streaming import LatencyReport, StreamConfig, offline_run, stream_run
 from .trainer import loss_breakdown
-
-
-def _emit(payload: dict, report_path: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if report_path is not None:
-        Path(report_path).write_text(text + "\n")
 
 
 def _cpu_model() -> str | None:
@@ -119,54 +112,50 @@ def _inputs(args: argparse.Namespace) -> tuple[Waveform, Waveform, ConverterFn]:
     return read_wav(args.source), read_wav(args.reference), converter
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args: argparse.Namespace) -> dict:
     source, reference, converter = _inputs(args)
     out, rtf = offline_run(source, reference, toy_codec(), converter)
-    clipped = write_wav(args.output, out)
-    _emit({"rtf": rtf, "duration_s": out.duration_s, "output": args.output, "clipped_samples": clipped}, args.report)
-    return 0
+    return {"rtf": rtf, "duration_s": out.duration_s, "output": args.output, "clipped_samples": write_wav(args.output, out)}
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
-    start = _usage()
-    cfg = _stream_cfg(args)
-    source, reference, converter = _inputs(args)
-    out, report = stream_run(source, reference, cfg, toy_codec(), converter)
-    payload = {**report.to_dict(), "clipped_samples": write_wav(args.output, out), "machine": _machine(start)}
-    _emit(payload, args.report)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """One warm-up stream, then `--repeats` measured ones pooled into one
-    report of their joined chunk records and mean wall time, whose queue
-    restarts at each run. The audio of every run is the same, so only the
-    last run's is kept."""
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+def _streams(args: argparse.Namespace, runs: int, warm_up: bool) -> dict:
+    """An optional warm-up stream, then `runs` measured ones pooled into one
+    report of their joined chunk records and mean wall time (the queue
+    restarts at each run); only the last run's audio, the same in each, is kept."""
     start = _usage()
     cfg = _stream_cfg(args)
     source, reference, converter = _inputs(args)
     codec = toy_codec()
-    stream_run(source, reference, cfg, codec, converter)  # warm-up, discarded
+    if warm_up:
+        stream_run(source, reference, cfg, codec, converter)  # discarded
     reports = []
-    for _ in range(args.repeats):
+    for _ in range(runs):
         out, report = stream_run(source, reference, cfg, codec, converter)
         reports.append(report)
     timings = tuple(t for r in reports for t in r.timings)
     wall_s = float(np.mean([r.wall_s for r in reports]))
-    payload = LatencyReport(cfg, timings, wall_s, source.duration_s, args.repeats).to_dict()
+    payload = LatencyReport(cfg, timings, wall_s, source.duration_s, runs).to_dict()
     if args.output is not None:
         payload["clipped_samples"] = write_wav(args.output, out)
     payload["machine"] = _machine(start)
-    _emit(payload, args.report)
-    return 0
+    return payload
 
 
-def _cmd_features(args: argparse.Namespace) -> int:
+def _cmd_stream(args: argparse.Namespace) -> dict:
+    return _streams(args, runs=1, warm_up=False)
+
+
+def _cmd_bench(args: argparse.Namespace) -> dict:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    return _streams(args, runs=args.repeats, warm_up=True)
+
+
+def _cmd_features(args: argparse.Namespace) -> dict:
     paths = tuple(Path(args.output + ext) for ext in (".mel.f32", ".mel.json", ".spk.f32"))
-    if _names_one_of(args.report, paths):
-        raise ValueError("--report must differ from the files that features writes")
+    for flag in ("source", "report"):
+        if _names_one_of(getattr(args, flag), paths):
+            raise ValueError(f"--{flag} must differ from the files that features writes")
     w = read_wav(args.source)
     mel = mel_spectrogram(w)
     spk = speaker_embedding_from_mel(mel)
@@ -175,20 +164,21 @@ def _cmd_features(args: argparse.Namespace) -> int:
     mel_path.write_bytes(np.ascontiguousarray(mel, dtype="<f4").tobytes())
     meta_path.write_text(json.dumps({"rows": int(mel.shape[0]), "cols": int(mel.shape[1])}) + "\n")
     spk_path.write_bytes(np.ascontiguousarray(spk, dtype="<f4").tobytes())
-    _emit({"mel_rows": int(mel.shape[0]), "mel_cols": int(mel.shape[1]), "spk_dim": int(spk.shape[0])}, args.report)
-    return 0
+    return {"mel_rows": int(mel.shape[0]), "mel_cols": int(mel.shape[1]), "spk_dim": int(spk.shape[0])}
 
 
-def _cmd_make_pairs(args: argparse.Namespace) -> int:
+def _cmd_make_pairs(args: argparse.Namespace) -> dict:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if not (np.isfinite(args.duration_s) and args.duration_s >= MIN_PAIR_DURATION_S):
         raise ValueError(f"--duration-s must be finite and >= {MIN_PAIR_DURATION_S}, got {args.duration_s}")
     outdir = Path(args.output)
     if args.report is not None and Path(os.path.realpath(args.report)).is_relative_to(os.path.realpath(outdir)):
         raise ValueError("--report must differ from the files that make-pairs writes: it is inside --output")
-    outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
+    outdir.mkdir(parents=True, exist_ok=True)
     manifest = []
     for i in range(args.count):
         content_seed = int(rng.integers(0, 2**31))
@@ -211,11 +201,10 @@ def _cmd_make_pairs(args: argparse.Namespace) -> int:
             }
         )
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    _emit({"count": args.count, "dir": str(outdir)}, args.report)
-    return 0
+    return {"count": args.count, "dir": str(outdir)}
 
 
-def _cmd_sample_roles(args: argparse.Namespace) -> int:
+def _cmd_sample_roles(args: argparse.Namespace) -> dict:
     if args.draws < 1:
         raise ValueError(f"--draws must be >= 1, got {args.draws}")
     parts = [float(x) for x in args.probs.split(",")]
@@ -227,14 +216,11 @@ def _cmd_sample_roles(args: argparse.Namespace) -> int:
     for _ in range(args.draws):
         counts[sample_mode(probs, rng)] += 1
     freqs = {mode.value: counts[mode] / args.draws for mode in RoleMode}
-    _emit({"draws": args.draws, "frequencies": freqs}, args.report)
-    return 0
+    return {"draws": args.draws, "frequencies": freqs}
 
 
-def _cmd_eval_loss(args: argparse.Namespace) -> int:
-    lb = loss_breakdown(read_wav(args.source), read_wav(args.reference))
-    _emit(lb.to_dict(), args.report)
-    return 0
+def _cmd_eval_loss(args: argparse.Namespace) -> dict:
+    return loss_breakdown(read_wav(args.source), read_wav(args.reference)).to_dict()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -292,7 +278,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("--report must differ from the input and output paths")
         if args.report is not None and os.path.isdir(args.report):
             raise ValueError("--report must differ from an existing directory")
-        return args.func(args)
+        text = json.dumps(args.func(args), indent=2)
+        print(text)
+        if args.report is not None:
+            Path(args.report).write_text(text + "\n")
+        return 0
     except (AudioFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -286,9 +286,9 @@ def _gelu_in_place(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
-def _at(flat: np.ndarray, shape: tuple[int, ...], offset: int = 0) -> np.ndarray:
-    """The C-contiguous `shape` view of the 1-D buffer `flat` from element `offset` on."""
-    return flat[offset : offset + math.prod(shape)].reshape(shape)
+def _at(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The C-contiguous `shape` view of the start of the 1-D buffer `flat`."""
+    return flat[: math.prod(shape)].reshape(shape)
 
 
 def _buf(scratch: dict, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:

@@ -57,14 +57,23 @@ class TestConvert:
         assert payload["clipped_samples"] == 0
         assert np.array_equal(read_wav(out_path).samples, read_wav(src).samples)
 
-    def test_report_file_matches_stdout(self, capsys, wavs, tmp_path):
+    @pytest.mark.parametrize("command", ["convert", "stream", "bench", "features", "make-pairs", "sample-roles",
+                                         "eval-loss"])
+    def test_report_file_matches_stdout(self, capsys, wavs, tmp_path, command):
         src, ref = wavs
+        out = str(tmp_path / "out")
+        convert = ["--source", src, "--reference", ref, "--output", out + ".wav", "--identity"]
+        argv = {
+            "convert": convert,
+            "stream": [*convert, *GEOMETRY],
+            "bench": [*convert, *GEOMETRY, "--repeats", "1"],
+            "features": ["--source", src, "--output", out],
+            "make-pairs": ["--output", out, "--count", "1"],
+            "sample-roles": ["--draws", "100"],
+            "eval-loss": ["--source", src, "--reference", ref],
+        }[command]
         report = tmp_path / "report.json"
-        code, payload = run_cli(capsys, [
-            "convert", "--source", src, "--reference", ref,
-            "--output", str(tmp_path / "out.wav"), "--identity",
-            "--report", str(report),
-        ])
+        code, payload = run_cli(capsys, [command, *argv, "--report", str(report)])
         assert code == 0
         assert json.loads(report.read_text()) == payload
 
@@ -257,6 +266,16 @@ class TestStream:
         assert all(v is None or isinstance(v, str) for v in machine["blas"].values())
         assert machine["OPENBLAS_NUM_THREADS"] is None and machine["OMP_NUM_THREADS"] == "3"
 
+    def test_payload_keys_match_a_one_run_bench(self, capsys, wavs, tmp_path):
+        src, ref = wavs
+        argv = ["--source", src, "--reference", ref, "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY]
+        code, stream = run_cli(capsys, ["stream", *argv])
+        assert code == 0
+        code, bench = run_cli(capsys, ["bench", *argv, "--repeats", "1"])
+        assert code == 0
+        assert list(stream) == list(bench)
+        assert stream["chunk_count"] == bench["chunk_count"]
+
     def test_identity_round_trips_the_file_exactly(self, capsys, wavs, tmp_path):
         # A codec round trip moves int16 grid values by ~1e-12, far below
         # half a quantization step, so the rewritten file is the same.
@@ -391,6 +410,18 @@ class TestFeatures:
         raw_spk = np.frombuffer((tmp_path / "feat" / "base.spk.f32").read_bytes(), dtype="<f4")
         assert np.allclose(raw_spk, spk, atol=1e-6)
 
+    @pytest.mark.parametrize("ext", [".mel.f32", ".mel.json", ".spk.f32"])
+    def test_source_that_features_would_write_exits_2_untouched(self, capsys, wavs, tmp_path, ext):
+        # However the prefix is spelled, the source is refused before it is
+        # read or any file is written.
+        src, ref = wavs
+        clip = tmp_path / ("clip" + ext)
+        clip.write_bytes(Path(src).read_bytes())
+        assert main(["features", "--source", str(clip), "--output", str(tmp_path / "." / "clip")]) == 2
+        assert "--source must differ" in capsys.readouterr().err
+        assert clip.read_bytes() == Path(src).read_bytes()
+        assert set(tmp_path.iterdir()) == {Path(src), Path(ref), clip}
+
 
 class TestMakePairs:
     def test_writes_corpus_with_manifest(self, capsys, tmp_path):
@@ -422,7 +453,7 @@ class TestMakePairs:
 
     # Refused before any work: no directory is made.
     @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-2"), ("--duration-s", "1"),
-                                             ("--duration-s", "nan"), ("--duration-s", "inf")])
+                                             ("--duration-s", "nan"), ("--duration-s", "inf"), ("--seed", "-1")])
     def test_bad_count_or_duration_exits_2_and_makes_nothing(self, capsys, tmp_path, flag, value):
         outdir = tmp_path / "corpus"
         assert main(["make-pairs", "--output", str(outdir), flag, value]) == 2
