@@ -88,7 +88,8 @@ def write_wav(path: str | Path, w: Waveform) -> int:
         log.warning("write_wav(%s): clipped %d out-of-range samples", path, clipped)
     pcm = np.rint(np.clip(w.samples, -1.0, hi) * _PCM_SCALE).astype("<i2")
     try:
-        with wave.open(str(path), "wb") as wf:
+        # opened here: a `wave.Wave_write` whose own open fails prints a traceback when collected
+        with open(path, "wb") as f, wave.open(f, "wb") as wf:
             wf.setnchannels(1)
             wf.setsampwidth(2)
             wf.setframerate(SAMPLE_RATE)

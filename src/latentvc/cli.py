@@ -2,10 +2,10 @@
 
 Subcommands: convert (offline), stream, bench, features, make-pairs,
 sample-roles, eval-loss. Each returns a small JSON payload, which `main`
-prints to stdout; `--report` additionally writes it to a file, which must
+writes to `--report`, if given, and then prints to stdout; the report must
 not be an input or a file the command writes. This is the one place that reads
-paths and flags: the commands call `offline_run` and `stream_run` and
-write `--output`.
+paths and flags: `main` checks each numeric flag against `FLOORS`, and the
+commands call `offline_run` and `stream_run` and write `--output`.
 
 Exit codes: 0 success, 2 invalid arguments, 3 unreadable or malformed
 input (audio files, checkpoints), 4 non-finite values detected in audio
@@ -31,6 +31,9 @@ from .errors import AudioFormatError, CheckpointError, NonFiniteError
 from .features import N_MELS, SPK_DIM, mel_spectrogram, speaker_embedding_from_mel
 from .streaming import LatencyReport, StreamConfig, offline_run, stream_run
 from .trainer import loss_breakdown
+
+# The floor of each numeric flag, by dest name: `main` refuses a value below it, NaN or infinite.
+FLOORS = {"seed": 0, "count": 1, "draws": 1, "repeats": 1, "duration_s": MIN_PAIR_DURATION_S}
 
 
 def _cpu_model() -> str | None:
@@ -146,8 +149,6 @@ def _cmd_stream(args: argparse.Namespace) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> dict:
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     return _streams(args, runs=args.repeats, warm_up=True)
 
 
@@ -168,12 +169,6 @@ def _cmd_features(args: argparse.Namespace) -> dict:
 
 
 def _cmd_make_pairs(args: argparse.Namespace) -> dict:
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if not (np.isfinite(args.duration_s) and args.duration_s >= MIN_PAIR_DURATION_S):
-        raise ValueError(f"--duration-s must be finite and >= {MIN_PAIR_DURATION_S}, got {args.duration_s}")
     outdir = Path(args.output)
     if args.report is not None and Path(os.path.realpath(args.report)).is_relative_to(os.path.realpath(outdir)):
         raise ValueError("--report must differ from the files that make-pairs writes: it is inside --output")
@@ -205,9 +200,10 @@ def _cmd_make_pairs(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sample_roles(args: argparse.Namespace) -> dict:
-    if args.draws < 1:
-        raise ValueError(f"--draws must be >= 1, got {args.draws}")
-    parts = [float(x) for x in args.probs.split(",")]
+    try:
+        parts = [float(x) for x in args.probs.split(",")]
+    except ValueError:
+        raise ValueError(f"--probs takes numbers, got {args.probs!r}") from None
     if len(parts) != 3:
         raise ValueError(f"--probs needs three comma-separated values, got {args.probs!r}")
     probs = RoleProbs(*parts)
@@ -273,15 +269,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name, low in FLOORS.items():  # `< np.inf`, as np.isfinite raises on an int past float range
+            if not low <= getattr(args, name, low) < np.inf:
+                raise ValueError(f"--{name.replace('_', '-')} must be finite and >= {low}, got {getattr(args, name)}")
         files = tuple(getattr(args, name, None) for name in ("source", "reference", "checkpoint", "output"))
         if _names_one_of(args.report, files):
             raise ValueError("--report must differ from the input and output paths")
         if args.report is not None and os.path.isdir(args.report):
             raise ValueError("--report must differ from an existing directory")
         text = json.dumps(args.func(args), indent=2)
-        print(text)
-        if args.report is not None:
+        if args.report is not None:  # first, so that stdout carries a payload only when every file is written
             Path(args.report).write_text(text + "\n")
+        print(text)
         return 0
     except (AudioFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ directions, clipping on write, format rejection on read, and the
 zero-padded slicing helper the streaming layer is built on.
 """
 
+import struct
 import wave
 
 import numpy as np
@@ -146,6 +147,16 @@ class TestReadRejectsFormats:
         with pytest.raises(AudioFormatError):
             read_wav(p)
 
+    def test_ieee_float(self, tmp_path):
+        # format tag 3: mono 32-bit float samples at the right rate
+        p = tmp_path / "f32.wav"
+        fmt = struct.pack("<HHIIHH", 3, 1, SAMPLE_RATE, 4 * SAMPLE_RATE, 4, 32)
+        data = np.zeros(8, "<f4").tobytes()
+        chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
+        p.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        with pytest.raises(AudioFormatError, match=r"f32\.wav: not a PCM WAV file"):
+            read_wav(p)
+
 
 class TestSlicePad:
     def test_interior_is_plain_slice(self):
@@ -166,6 +177,10 @@ class TestSlicePad:
         w = Waveform(np.arange(4, dtype=float))
         assert np.array_equal(slice_pad(w, 100, 3).samples, np.zeros(3))
         assert np.array_equal(slice_pad(w, -100, 3).samples, np.zeros(3))
+
+    def test_negative_length(self):
+        with pytest.raises(ValueError, match="length must be >= 0, got -1"):
+            slice_pad(Waveform(np.zeros(4)), 0, -1)
 
     def test_length_always_requested(self):
         w = Waveform(np.arange(7, dtype=float))

@@ -77,6 +77,26 @@ class TestConvert:
         assert code == 0
         assert json.loads(report.read_text()) == payload
 
+    @pytest.mark.parametrize("command", ["convert", "sample-roles"])
+    def test_report_that_cannot_be_written_exits_3_and_prints_nothing(self, capsys, wavs, tmp_path, command):
+        # The report is written before stdout, so a caller that reads only
+        # stdout sees no payload from a failed run.
+        src, ref = wavs
+        argv = {"convert": ["--source", src, "--reference", ref, "--output", str(tmp_path / "out.wav"), "--identity"],
+                "sample-roles": ["--draws", "10"]}[command]
+        report = tmp_path / "missing" / "report.json"
+        assert main([command, *argv, "--report", str(report)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(report) in captured.err
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_output_in_a_missing_directory_exits_3_naming_it(self, capsys, wavs, tmp_path):
+        src, ref = wavs
+        out = tmp_path / "missing" / "out.wav"
+        assert main(["convert", "--source", src, "--reference", ref, "--output", str(out), "--identity"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"failed to write {out}" in captured.err
+
     def test_missing_source_exits_3(self, capsys, wavs, tmp_path):
         _, ref = wavs
         code = main([
@@ -223,6 +243,49 @@ class TestConvert:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+
+class TestFlagFloors:
+    """Each numeric flag below its floor, NaN or infinite is refused by one
+    check in `main`: exit 2 naming the flag, before any file is read,
+    written or made."""
+
+    @staticmethod
+    def assert_refused(capsys, tmp_path, argv, flag):
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main([*argv, "--report", str(tmp_path / "report.json")]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *[(command, "--seed", "-1") for command in ("convert", "stream", "bench", "make-pairs", "sample-roles")],
+        ("bench", "--repeats", "0"), ("bench", "--repeats", "-1"),
+        ("make-pairs", "--count", "0"), ("make-pairs", "--count", "-2"),
+        *[("make-pairs", "--duration-s", value) for value in ("1", "4.79", "nan", "inf")],
+        ("sample-roles", "--draws", "0"), ("sample-roles", "--draws", "-3"),
+    ])
+    def test_value_below_the_floor_exits_2_naming_the_flag(self, capsys, wavs, tmp_path, command, flag, value):
+        src, ref = wavs
+        convert = ["--source", src, "--reference", ref, "--output", str(tmp_path / "out.wav")]
+        argv = {"make-pairs": ["--output", str(tmp_path / "corpus")], "sample-roles": []}.get(command, convert)
+        self.assert_refused(capsys, tmp_path, [command, *argv, flag, value], flag)
+
+    # The seed is unused beside either, but a negative one is still refused.
+    @pytest.mark.parametrize("command", ["convert", "stream", "bench"])
+    @pytest.mark.parametrize("model", ["identity", "checkpoint"])
+    def test_negative_seed_beside_identity_or_checkpoint_exits_2(self, capsys, wavs, tmp_path, tiny_ckpt, command,
+                                                                  model):
+        src, ref = wavs
+        which = ["--identity"] if model == "identity" else ["--checkpoint", tiny_ckpt]
+        self.assert_refused(capsys, tmp_path, [command, "--source", src, "--reference", ref, "--output",
+                                               str(tmp_path / "out.wav"), *which, "--seed", "-1"], "--seed")
+
+    @pytest.mark.parametrize("command", ["make-pairs", "sample-roles"])
+    def test_seed_past_float_range_is_accepted(self, capsys, tmp_path, command):
+        argv = {"make-pairs": ["--output", str(tmp_path / "corpus"), "--count", "1"],
+                "sample-roles": ["--draws", "10"]}[command]
+        assert run_cli(capsys, [command, *argv, "--seed", "9" * 400])[0] == 0
 
 
 class TestStream:
@@ -488,6 +551,12 @@ class TestSampleRoles:
         assert main(["sample-roles", "--draws", "1000", "--probs", probs]) == 2
         captured = capsys.readouterr()
         assert "finite" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("probs", ["a,b,c", "0.4,,0.6"])
+    def test_probs_that_are_not_numbers_exit_2_naming_them(self, capsys, probs):
+        assert main(["sample-roles", "--probs", probs]) == 2
+        captured = capsys.readouterr()
+        assert f"--probs takes numbers, got {probs!r}" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("draws", ["0", "-3"])
     def test_draws_below_one_exit_2(self, capsys, draws):

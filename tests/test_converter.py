@@ -664,6 +664,11 @@ class TestForwardValidation:
         with pytest.raises(ValueError):
             forward(tiny_params, z[:0], c, g)
 
+    def test_empty_condition(self, tiny_params):
+        z, c, g = tiny_inputs(0)
+        with pytest.raises(ValueError, match="condition must have at least one frame"):
+            forward(tiny_params, z, c[:0], g)
+
     def test_non_finite_rejected(self, tiny_params):
         z, c, g = tiny_inputs(0)
         z_bad = z.copy()
@@ -1129,6 +1134,26 @@ class TestCheckpoint:
         p, nbytes = self.medium_checkpoint(tmp_path)
         replace_header(p, header)
         self.assert_refused_unread(p, nbytes)
+
+    @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{not json"], ids=["not-utf8", "not-json"])
+    def test_header_that_is_not_json_text(self, tmp_path, blob):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        raw, (_, header_end) = p.read_bytes(), read_header(p)
+        blob += b" " * ((-16 - len(blob)) % 64)
+        replace_file(p, raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[header_end:])
+        self.assert_refused_unread(p, nbytes)
+        with pytest.raises(CheckpointError, match="unreadable header"):
+            load_params(p)
+
+    def test_file_that_cannot_be_mapped_is_refused(self, tmp_path, monkeypatch):
+        p, _ = self.medium_checkpoint(tmp_path)
+
+        def no_map(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr("mmap.mmap", no_map)
+        with pytest.raises(CheckpointError, match=r"cannot map file \(\[Errno 12\] Cannot allocate memory\)"):
+            load_params(p)
 
     @pytest.mark.parametrize("manifest", [None, 3, ["src_in.w"]])
     def test_manifest_not_an_object(self, tmp_path, manifest):

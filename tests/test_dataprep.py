@@ -121,6 +121,10 @@ class TestSynthPair:
         with pytest.raises(ValueError, match="finite"):
             synth_pair(7, 1, 2, duration_s=duration_s)
 
+    def test_pair_of_unequal_lengths_is_refused(self):
+        with pytest.raises(ValueError, match="equal lengths, got 8000 and 7999"):
+            UtterancePair(make_wave(8000), make_wave(7999))
+
     def test_deterministic(self):
         a = synth_pair(3, 5, 6, duration_s=4.8)
         b = synth_pair(3, 5, 6, duration_s=4.8)

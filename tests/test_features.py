@@ -23,6 +23,7 @@ from latentvc.features import (
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
+    speaker_embedding_from_mel,
     speaker_projection,
 )
 
@@ -127,6 +128,11 @@ class TestSpeakerEmbedding:
         raw = speaker_projection() @ pooled
         want = raw / np.linalg.norm(raw)
         assert np.allclose(speaker_embedding(short_wave), want, atol=1e-14)
+
+    def test_zero_norm_is_refused(self):
+        # a constant mel pools to all zeros, as its std is zero too
+        with pytest.raises(ValueError, match="zero norm"):
+            speaker_embedding_from_mel(np.zeros((3, N_MELS)))
 
     def test_projection_bounds(self):
         proj = speaker_projection()

@@ -95,6 +95,10 @@ class TestEmbeddingMse:
         b = rng.standard_normal(192)
         assert embedding_mse(a, b)[0] == pytest.approx(embedding_mse(b, a)[0], rel=1e-15)
 
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"embedding shapes differ: \(192,\) vs \(191,\)"):
+            embedding_mse(np.zeros(192), np.zeros(191))
+
 
 class TestWaveformLosses:
     """The two terms of `loss_breakdown` between waveforms: `mel_l1` of the
