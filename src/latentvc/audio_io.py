@@ -1,7 +1,8 @@
 """Mono 16 kHz 16-bit PCM WAV I/O and sample-domain slicing primitives.
 
-Everything downstream works on `Waveform` objects: float64 samples nominally
-in [-1, 1] at one fixed rate, 16 kHz (a class constant, not a field).
+Everything downstream works on `Waveform` objects: float samples nominally
+in [-1, 1] at one fixed rate, 16 kHz (a class constant, not a field). 16-bit
+PCM is held as float32, which stores it exactly; computations run in float64.
 Resampling and multi-channel audio are deliberately unsupported.
 """
 from __future__ import annotations
@@ -24,13 +25,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Waveform:
-    """A mono 16 kHz audio signal: its float samples."""
+    """A mono 16 kHz audio signal: its native float32 or float64 samples; any other dtype is widened to float64."""
 
     samples: np.ndarray
     sample_rate: ClassVar[int] = SAMPLE_RATE
 
     def __post_init__(self) -> None:
-        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)  # a byte-swapped float is not native, so it is widened
+        samples = np.ascontiguousarray(samples, samples.dtype if samples.dtype in (np.float32, np.float64) else np.float64)
         if samples.ndim != 1:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         if samples.size and not np.isfinite(samples).all():
@@ -71,8 +73,8 @@ def read_wav(path: str | Path) -> Waveform:
     if len(raw) != 2 * n_frames:  # a data chunk cut short, maybe mid-sample
         raise AudioFormatError(f"{path}: truncated data chunk ({n_frames} frames declared, {len(raw) / 2:g} present)")
     pcm = np.frombuffer(raw, dtype="<i2")
-    # one pass over the samples; exact, as the scale is a power of two
-    return Waveform(np.multiply(pcm, 1.0 / _PCM_SCALE, dtype=np.float64))
+    # one pass over the samples; exact in float32, as the scale is a power of two
+    return Waveform(np.multiply(pcm, 1.0 / _PCM_SCALE, dtype=np.float32))
 
 
 def write_wav(path: str | Path, w: Waveform) -> int:

@@ -3,7 +3,8 @@
 Subcommands: convert (offline), stream, bench, features, make-pairs,
 sample-roles, eval-loss. Each returns a small JSON payload, which `main`
 writes to `--report`, if given, and then prints to stdout; the report must
-not be an input or a file the command writes. This is the one place that reads
+not be an input or a file the command writes, and its directory must exist,
+which `main` checks before the command runs. This is the one place that reads
 paths and flags: `main` checks each numeric flag against `FLOORS`, and the
 commands call `offline_run` and `stream_run` and write `--output`.
 
@@ -108,6 +109,26 @@ def _names_one_of(path: str | None, others: tuple[str | Path | None, ...]) -> bo
     return path is not None and os.path.realpath(path) in {os.path.realpath(p) for p in others if p is not None}
 
 
+def _feature_paths(base: str) -> tuple[Path, Path, Path]:
+    return tuple(Path(base + ext) for ext in (".mel.f32", ".mel.json", ".spk.f32"))
+
+
+def _check_report(args: argparse.Namespace) -> None:
+    """Refuse, before the command writes anything, a `--report` that names an input, a file the command
+    writes or an existing directory (exit 2), or whose directory does not exist (exit 3)."""
+    files = [getattr(args, name, None) for name in ("source", "reference", "checkpoint", "output")]
+    if args.command == "features":
+        files += _feature_paths(args.output)
+    if _names_one_of(args.report, tuple(files)):
+        raise ValueError("--report must differ from the input paths and the files the command writes")
+    if args.command == "make-pairs" and Path(os.path.realpath(args.report)).is_relative_to(os.path.realpath(args.output)):
+        raise ValueError("--report must differ from the files that make-pairs writes: it is inside --output")
+    if os.path.isdir(args.report):
+        raise ValueError("--report must differ from an existing directory")
+    if not Path(args.report).parent.is_dir():
+        raise FileNotFoundError(f"--report {args.report}: directory {Path(args.report).parent} does not exist")
+
+
 def _inputs(args: argparse.Namespace) -> tuple[Waveform, Waveform, ConverterFn]:
     if _names_one_of(args.output, (args.source, args.reference, args.checkpoint)):
         raise ValueError("--output must differ from the input paths")
@@ -153,10 +174,9 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
 
 
 def _cmd_features(args: argparse.Namespace) -> dict:
-    paths = tuple(Path(args.output + ext) for ext in (".mel.f32", ".mel.json", ".spk.f32"))
-    for flag in ("source", "report"):
-        if _names_one_of(getattr(args, flag), paths):
-            raise ValueError(f"--{flag} must differ from the files that features writes")
+    paths = _feature_paths(args.output)
+    if _names_one_of(args.source, paths):
+        raise ValueError("--source must differ from the files that features writes")
     w = read_wav(args.source)
     mel = mel_spectrogram(w)
     spk = speaker_embedding_from_mel(mel)
@@ -170,8 +190,6 @@ def _cmd_features(args: argparse.Namespace) -> dict:
 
 def _cmd_make_pairs(args: argparse.Namespace) -> dict:
     outdir = Path(args.output)
-    if args.report is not None and Path(os.path.realpath(args.report)).is_relative_to(os.path.realpath(outdir)):
-        raise ValueError("--report must differ from the files that make-pairs writes: it is inside --output")
     rng = np.random.default_rng(args.seed)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -272,11 +290,8 @@ def main(argv: list[str] | None = None) -> int:
         for name, low in FLOORS.items():  # `< np.inf`, as np.isfinite raises on an int past float range
             if not low <= getattr(args, name, low) < np.inf:
                 raise ValueError(f"--{name.replace('_', '-')} must be finite and >= {low}, got {getattr(args, name)}")
-        files = tuple(getattr(args, name, None) for name in ("source", "reference", "checkpoint", "output"))
-        if _names_one_of(args.report, files):
-            raise ValueError("--report must differ from the input and output paths")
-        if args.report is not None and os.path.isdir(args.report):
-            raise ValueError("--report must differ from an existing directory")
+        if args.report is not None:
+            _check_report(args)
         text = json.dumps(args.func(args), indent=2)
         if args.report is not None:  # first, so that stdout carries a payload only when every file is written
             Path(args.report).write_text(text + "\n")

@@ -76,6 +76,17 @@ def tiny_ckpt(tmp_path, rng):
     return str(path)
 
 
+def gated_params(cfg, seed, scale=0.1):
+    """Seeded init with random adaptive-norm output weights and biases, so
+    every residual gate is open and each block changes its input."""
+    params = init_params(cfg, seed=seed)
+    r = np.random.default_rng([seed, 1])
+    for name, t in params.tensors.items():
+        if name.endswith("adaln.w2") or name.endswith("adaln.b2"):
+            params.tensors[name] = (scale * r.standard_normal(t.shape)).astype(t.dtype)
+    return params
+
+
 def run_cli(capsys, argv):
     """Run main(argv) in process; return the exit code and, on 0, the JSON payload."""
     code = main(argv)

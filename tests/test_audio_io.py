@@ -2,7 +2,10 @@
 
 Covers validation (dtype, shape, finiteness), int16 scaling on both
 directions, clipping on write, format rejection on read, and the
-zero-padded slicing helper the streaming layer is built on.
+zero-padded slicing helper the streaming layer is built on. A property
+test checks that the float32 samples `read_wav` returns give bitwise the
+results of their float64 widening, from the slicing helper to whole
+offline and streaming conversions.
 """
 
 import struct
@@ -10,24 +13,49 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentvc import (
     SAMPLE_RATE,
     AudioFormatError,
     NonFiniteError,
     Waveform,
+    identity_converter,
+    make_converter,
+    mel_spectrogram,
+    offline_run,
     read_wav,
     slice_pad,
+    speaker_embedding,
+    stream_run,
+    toy_codec,
+    toy_encode,
     write_wav,
 )
 
-from conftest import make_wave
+from conftest import SMALL_STREAM, WIDE_TINY, gated_params, make_wave
 
 
 class TestWaveform:
-    def test_coerces_to_float64(self):
-        w = Waveform(np.zeros(10, dtype=np.float32))
-        assert w.samples.dtype == np.float64
+    @pytest.mark.parametrize("given, kept", [
+        (np.float32, True), (np.float64, True),
+        (np.int16, False), (np.int64, False), (np.float16, False), (">f4", False), (list, False),
+    ], ids=["float32", "float64", "int16", "int64", "float16", "big-endian-float32", "list"])
+    def test_keeps_native_float32_and_float64_and_widens_the_rest(self, given, kept):
+        # float32 holds every 16-bit sample exactly, so it is kept uncopied
+        # like float64; any other dtype is widened to float64
+        values = [0, 1, -2, 3]
+        x = list(values) if given is list else np.array(values, dtype=given)
+        w = Waveform(x)
+        assert w.samples.dtype == (np.dtype(given) if kept else np.float64)
+        assert w.samples.dtype.isnative and np.array_equal(w.samples, values)
+        assert np.shares_memory(w.samples, x) == kept
+        if given is not list and np.dtype(given).kind == "f":
+            for bad in (np.nan, np.inf, -np.inf):
+                y = x.copy()
+                y[1] = bad
+                with pytest.raises(NonFiniteError):
+                    Waveform(y)
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
@@ -186,3 +214,53 @@ class TestSlicePad:
         w = Waveform(np.arange(7, dtype=float))
         for start in (-5, 0, 3, 20):
             assert len(slice_pad(w, start, 4)) == 4
+
+
+def _write_pcm(path, pcm):
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(1)
+        f.setsampwidth(2)
+        f.setframerate(SAMPLE_RATE)
+        f.writeframes(pcm.astype("<i2").tobytes())
+
+
+class TestFloat32IsExact:
+    """`read_wav` holds 16-bit PCM as float32. Every consumer computes in
+    float64, so the float32 waveform and its float64 widening must give
+    bitwise the same results."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1024, 4096), seed=st.integers(0, 2**32 - 1), start=st.integers(-3000, 5000),
+           length=st.integers(0, 3000))
+    def test_float32_pcm_gives_what_its_float64_widening_gives(self, tmp_path_factory, n, seed, start, length):
+        r = np.random.default_rng(seed)
+        pcm = r.integers(-32768, 32768, size=n)
+        pcm[r.random(n) < 0.05] = r.choice([-32768, 32767])  # full scale, both ends
+        tmp = tmp_path_factory.mktemp("pcm")
+        _write_pcm(tmp / "in.wav", pcm)
+        w32 = read_wav(tmp / "in.wav")
+        assert w32.samples.dtype == np.float32
+        assert w32.samples.astype(np.float64).tobytes() == (pcm / 32768.0).tobytes()
+        w64 = Waveform(w32.samples.astype(np.float64))
+
+        def same(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+        same(slice_pad(w32, start, length).samples, slice_pad(w64, start, length).samples)
+        same(mel_spectrogram(w32), mel_spectrogram(w64))
+        same(speaker_embedding(w32), speaker_embedding(w64))
+        hops = n - n % 256
+        same(toy_encode(Waveform(w32.samples[:hops])), toy_encode(Waveform(w64.samples[:hops])))
+        codec = toy_codec()
+        for converter in (identity_converter, make_converter(gated_params(WIDE_TINY, seed=5))):
+            same(offline_run(w32, w32, codec, converter)[0].samples, offline_run(w64, w64, codec, converter)[0].samples)
+            same(stream_run(w32, w32, SMALL_STREAM, codec, converter)[0].samples,
+                 stream_run(w64, w64, SMALL_STREAM, codec, converter)[0].samples)
+
+        # full scale at both ends, +1.0 (clipped to 32767), and values past it
+        edges = np.array([1.0, -1.0, 32767 / 32768, -32768 / 32768, 1.5, -1.5], dtype=np.float32)
+        w32 = Waveform(np.concatenate([w32.samples, edges]))
+        w64 = Waveform(w32.samples.astype(np.float64))
+        assert write_wav(tmp / "32.wav", w32) == write_wav(tmp / "64.wav", w64) == 3
+        assert (tmp / "32.wav").read_bytes() == (tmp / "64.wav").read_bytes()

@@ -89,6 +89,20 @@ class TestConvert:
         captured = capsys.readouterr()
         assert captured.out == "" and str(report) in captured.err
 
+    @pytest.mark.parametrize("command", ["convert", "make-pairs"])
+    def test_report_in_a_missing_directory_is_refused_before_any_output(self, capsys, wavs, tmp_path, command):
+        # The report's directory is checked before the command runs, so a
+        # refused run leaves neither its output file nor its corpus behind.
+        src, ref = wavs
+        out = tmp_path / "out"
+        argv = {"convert": ["--source", src, "--reference", ref, "--output", str(out), "--identity"],
+                "make-pairs": ["--output", str(out), "--count", "1"]}[command]
+        report = tmp_path / "missing" / "report.json"
+        assert main([command, *argv, "--report", str(report)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(report) in captured.err and "does not exist" in captured.err
+        assert not out.exists() and not report.parent.exists()
+
     @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_output_in_a_missing_directory_exits_3_naming_it(self, capsys, wavs, tmp_path):
         src, ref = wavs

@@ -5,9 +5,11 @@ window extraction, per-step gain, cosine blend written out with math.cos)
 and compares against stream_run driven by a stateful linear converter with
 a random gain per chunk, over random geometries, so window placement,
 overlap blending at every seam, and trimming are all checked against
-independent arithmetic. Hypothesis properties also cover the identity
-stream and invalid geometries, and a subprocess checks that the runtime
-imports no scipy.
+independent arithmetic. A second oracle streams a real converter of random
+tiny weights and must match, bit for bit, each window's stateless
+encode -> `forward` -> decode pass. Hypothesis properties also cover the
+identity stream and invalid geometries, and a subprocess checks that the
+runtime imports no scipy.
 """
 
 import json
@@ -24,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 import latentvc
 from latentvc import (
     CodecInterface,
+    ConverterConfig,
     NonFiniteError,
     StreamConfig,
     LatencyReport,
@@ -31,7 +34,9 @@ from latentvc import (
     compute_t_model,
     crossfade,
     crossfade_weights,
+    forward,
     init_stream,
+    make_converter,
     mel_spectrogram,
     offline_run,
     speaker_embedding,
@@ -43,7 +48,7 @@ from latentvc import (
     identity_converter,
 )
 
-from conftest import make_wave
+from conftest import gated_params, make_wave
 
 
 class TestStreamConfig:
@@ -508,7 +513,55 @@ class TestLatencyReportProperties:
         assert reports[0] == LatencyReport(cfg, a, walls[0], duration_s)
 
 
+def oracle_forward_stream(source, reference, cfg, params):
+    """Longhand stream of a real converter: each step decodes the stateless
+    `forward` of its zero-extended window, emits the current region, and
+    cross-fades its head with the previous step's overlap tail."""
+    C = cfg.current_samples
+    H = cfg.history_samples
+    O = cfg.overlap_samples
+    W = cfg.window_samples
+    n = len(source)
+    c, g = mel_spectrogram(reference), speaker_embedding(reference)
+    padded = np.concatenate([np.zeros(H), source.samples, np.zeros(W)])
+    chunks = []
+    tail = None
+    for k in range(math.ceil(n / C)):
+        y = toy_decode(forward(params, toy_encode(Waveform(padded[k * C : k * C + W])), c, g)).samples
+        out = y[H : H + C].copy()
+        if k >= 1 and O > 0:
+            out[:O] = crossfade(tail, out[:O])
+        tail = y[H + C : H + C + O]
+        chunks.append(out)
+    return np.concatenate(chunks)[:n]
+
+
+@st.composite
+def tiny_models(draw):
+    """Random tiny weights at the codec and feature widths, every gate open;
+    d_model stays even for the sinusoidal positions."""
+    d_model, n_heads = 2 * draw(st.integers(1, 8)), draw(st.integers(1, 2))
+    cfg = ConverterConfig(d_model=d_model, n_layers=draw(st.integers(1, 2)), n_heads=n_heads, d_head=d_model // n_heads,
+                          ffn_ratio=draw(st.integers(1, 2)), update_cond_branch=draw(st.booleans()),
+                          use_speaker_condition=draw(st.booleans()))
+    return gated_params(cfg, seed=draw(st.integers(0, 2**31 - 1)))
+
+
 class TestStreamingProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(geometry=geometries(), params=tiny_models(), seed=st.integers(0, 2**31 - 1), pcm=st.booleans())
+    def test_real_converter_stream_is_forward_of_each_window(self, geometry, params, seed, pcm):
+        # the source is float64 noise, or float32 16-bit PCM values as read_wav holds them
+        cfg, n = geometry
+        if pcm:
+            source = Waveform((np.random.default_rng(seed).integers(-32768, 32768, n) / 32768).astype(np.float32))
+        else:
+            source = make_wave(n, seed=seed)
+        out, _ = stream_run(source, REFERENCE, cfg, toy_codec(), make_converter(params))
+        want = oracle_forward_stream(source, REFERENCE, cfg, params)
+        assert out.samples.dtype == want.dtype == np.float64
+        assert out.samples.tobytes() == want.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(geometry=geometries(), seed=st.integers(0, 2**32 - 1))
     def test_identity_stream_is_the_offline_round_trip(self, geometry, seed):
