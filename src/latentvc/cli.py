@@ -72,6 +72,18 @@ def _machine(start: tuple[float, float, float]) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads as a value any argument that `float()` accepts, such as -inf, -nan or -1e3; argparse
+    itself takes only plain negative numbers for values, and reads the rest as unknown options."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _add_convert_flags(p: argparse.ArgumentParser, output_required: bool) -> None:
     p.add_argument("--source", required=True, help="source WAV (mono 16-bit 16 kHz)")
     p.add_argument("--reference", required=True, help="reference WAV providing the target voice")
@@ -145,7 +157,8 @@ def _cmd_convert(args: argparse.Namespace) -> dict:
 def _streams(args: argparse.Namespace, runs: int, warm_up: bool) -> dict:
     """An optional warm-up stream, then `runs` measured ones pooled into one
     report of their joined chunk records and mean wall time (the queue
-    restarts at each run); only the last run's audio, the same in each, is kept."""
+    restarts at each run); only the last run's audio, the same in each, is kept.
+    Late chunks are also named in one line on stderr."""
     start = _usage()
     cfg = _stream_cfg(args)
     source, reference, converter = _inputs(args)
@@ -158,10 +171,15 @@ def _streams(args: argparse.Namespace, runs: int, warm_up: bool) -> dict:
         reports.append(report)
     timings = tuple(t for r in reports for t in r.timings)
     wall_s = float(np.mean([r.wall_s for r in reports]))
-    payload = LatencyReport(cfg, timings, wall_s, source.duration_s, runs).to_dict()
+    report = LatencyReport(cfg, timings, wall_s, source.duration_s, runs)
+    payload = report.to_dict()
     if args.output is not None:
         payload["clipped_samples"] = write_wav(args.output, out)
     payload["machine"] = _machine(start)
+    late = report.late
+    if len(late):
+        print(f"warning: {len(late)} of {report.chunk_count} chunks finished after their deadline (late_chunks); "
+              f"the first is chunks[{late[0]}]", file=sys.stderr)
     return payload
 
 
@@ -239,7 +257,7 @@ def _cmd_eval_loss(args: argparse.Namespace) -> dict:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="latentvc", description="Streaming voice conversion in a toy codec latent space")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", default=None, help="also write the JSON payload to this path")
 

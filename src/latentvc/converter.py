@@ -85,6 +85,8 @@ class ConverterConfig:
                 raise ValueError(f"{f.name} must be a bool, got {v!r}")
             if f.type == "int" and (type(v) is not int or v <= 0):
                 raise ValueError(f"{f.name} must be a positive int, got {v!r}")
+        if self.d_model % 2:
+            raise ValueError(f"d_model must be even, as positions pair a sin with a cos, got {self.d_model}")
         if self.n_heads * self.d_head != self.d_model:
             raise ValueError(
                 f"n_heads*d_head must equal d_model: {self.n_heads}*{self.d_head} != {self.d_model}"
@@ -199,6 +201,8 @@ def layer_norm(x: np.ndarray) -> np.ndarray:
 def sinusoidal_positions(positions: np.ndarray, d_model: int) -> np.ndarray:
     """Sinusoidal absolute encoding: PE[p, 2i] = sin(p*w_i), PE[p, 2i+1] = cos(p*w_i),
     with w_i = 10000**(-2i/d_model)."""
+    if d_model % 2:
+        raise ValueError(f"d_model must be even, as positions pair a sin with a cos, got {d_model}")
     positions = np.asarray(positions, dtype=np.float64)
     half = d_model // 2
     freqs = 10000.0 ** (-2.0 * np.arange(half) / d_model)

@@ -5,7 +5,9 @@ A real pseudo-pair generator (an offline conversion model producing the
 "generated" side) is out of scope; `synth_pair` stands in for it with a
 deterministic toy: a seeded multi-tone content signal rendered through two
 per-speaker linear spectral transforms. The two renderings share content
-and timing exactly, which is what the cropping logic relies on.
+and timing exactly, which is what the cropping logic relies on. The content
+is transformed once per pair, at the least 5-smooth length at or above its
+own, so that no pair length falls back to a Bluestein FFT.
 
 Role assignment decides which side of a pair acts as source vs target:
 standard trains generated -> real, reconstruction trains real -> itself,
@@ -106,15 +108,29 @@ def _speaker_curve(freqs_hz: np.ndarray, speaker: int) -> np.ndarray:
     return curve / curve.max()
 
 
-def _render(content: np.ndarray, speaker: int) -> np.ndarray:
-    n = len(content)
-    freqs = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE)
-    return np.fft.irfft(np.fft.rfft(content) * _speaker_curve(freqs, speaker), n=n)
+def _smooth_length(n: int) -> int:
+    """The least m >= n of the form 2^a 3^b 5^c: an FFT length that pocketfft
+    factors into small radices, where a length with a large prime factor
+    would fall back to Bluestein's chirp-z transform."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1  # 3^b 5^c, for each of which the least power of 2 is taken
+    while odd < best:
+        odd35 = odd
+        while odd35 < best:
+            best = min(best, odd35 << (-(-n // odd35) - 1).bit_length())
+            odd35 *= 3
+        odd *= 5
+    return best
 
 
 def synth_pair(content_seed: int, speaker_a: int, speaker_b: int, duration_s: float) -> UtterancePair:
     """Make a content-matched pair: the same seeded signal rendered as
     speaker_a (the "real" side) and as speaker_b (the "generated" side).
+
+    The content of n samples is transformed once, zero-padded to m, the
+    least 5-smooth length >= n; each side is that spectrum times its
+    speaker's curve, transformed back at m and cut to its first n samples.
+    Where n is 5-smooth, m = n and nothing is padded.
 
     Everything is deterministic in (content_seed, speaker ids), and the two
     outputs are sample-aligned by construction.
@@ -122,11 +138,11 @@ def synth_pair(content_seed: int, speaker_a: int, speaker_b: int, duration_s: fl
     if not (np.isfinite(duration_s) and duration_s >= MIN_PAIR_DURATION_S):
         raise ValueError(f"duration_s must be finite and >= {MIN_PAIR_DURATION_S}, got {duration_s}")
     n = int(round(duration_s * SAMPLE_RATE))
-    content = _content_signal(content_seed, n)
-    return UtterancePair(
-        real=Waveform(_render(content, speaker_a)),
-        generated=Waveform(_render(content, speaker_b)),
-    )
+    m = _smooth_length(n)
+    spectrum = np.fft.rfft(_content_signal(content_seed, n), n=m)
+    freqs = np.fft.rfftfreq(m, d=1.0 / SAMPLE_RATE)
+    real, generated = (np.fft.irfft(spectrum * _speaker_curve(freqs, s), n=m)[:n] for s in (speaker_a, speaker_b))
+    return UtterancePair(real=Waveform(real), generated=Waveform(generated))
 
 
 def sample_mode(probs: RoleProbs, rng: np.random.Generator) -> RoleMode:

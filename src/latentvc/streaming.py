@@ -174,6 +174,12 @@ class LatencyReport:
             queued[k] = q
         return queued
 
+    @property
+    def late(self) -> np.ndarray:
+        """The indices of the chunks that finished after their deadline,
+        f_k > a_k + C, which is q_k > t_model + C, whatever made them late."""
+        return np.flatnonzero(self.queued_ms > self.t_model_ms + self.cfg.current_ms)
+
     def to_dict(self) -> dict:
         """The JSON payload. Besides the figures above, the per-chunk compute
         (enc + convert + dec) gives its median and maximum,
@@ -207,8 +213,7 @@ class LatencyReport:
             "chunks": [list(t) for t in self.timings],
             "queued_ms": queued.tolist(),
             "t_queued_ms": {"p50": float(np.median(queued)), "max": float(queued.max())},
-            # f_k > a_k + C is q_k > t_model + C
-            "late_chunks": int(np.count_nonzero(queued > self.t_model_ms + self.cfg.current_ms)),
+            "late_chunks": len(self.late),
         }
 
 

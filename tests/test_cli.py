@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from latentvc import (
+    LatencyReport,
     identity_converter,
     init_params,
     mel_spectrogram,
@@ -25,7 +26,8 @@ from latentvc import (
     toy_codec,
     write_wav,
 )
-from latentvc.cli import main
+from latentvc import cli
+from latentvc.cli import FLOORS, main
 
 from conftest import GEOMETRY, SMALL_STREAM, WIDE_TINY, make_wave, run_cli
 
@@ -265,25 +267,29 @@ class TestFlagFloors:
     written or made."""
 
     @staticmethod
-    def assert_refused(capsys, tmp_path, argv, flag):
+    def assert_refused(capsys, tmp_path, argv, message):
         before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         assert main([*argv, "--report", str(tmp_path / "report.json")]) == 2
         captured = capsys.readouterr()
-        assert flag in captured.err and captured.out == ""
+        assert message in captured.err and captured.out == ""
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("command, flag, value", [
         *[(command, "--seed", "-1") for command in ("convert", "stream", "bench", "make-pairs", "sample-roles")],
         ("bench", "--repeats", "0"), ("bench", "--repeats", "-1"),
         ("make-pairs", "--count", "0"), ("make-pairs", "--count", "-2"),
-        *[("make-pairs", "--duration-s", value) for value in ("1", "4.79", "nan", "inf")],
+        # -inf is read as a value, not an unknown option, though written after a space
+        *[("make-pairs", "--duration-s", value) for value in ("1", "4.79", "nan", "inf", "-inf")],
         ("sample-roles", "--draws", "0"), ("sample-roles", "--draws", "-3"),
     ])
     def test_value_below_the_floor_exits_2_naming_the_flag(self, capsys, wavs, tmp_path, command, flag, value):
         src, ref = wavs
         convert = ["--source", src, "--reference", ref, "--output", str(tmp_path / "out.wav")]
         argv = {"make-pairs": ["--output", str(tmp_path / "corpus")], "sample-roles": []}.get(command, convert)
-        self.assert_refused(capsys, tmp_path, [command, *argv, flag, value], flag)
+        dest = flag[2:].replace("-", "_")
+        got = (float if dest == "duration_s" else int)(value)
+        self.assert_refused(capsys, tmp_path, [command, *argv, flag, value],
+                            f"{flag} must be finite and >= {FLOORS[dest]}, got {got}")
 
     # The seed is unused beside either, but a negative one is still refused.
     @pytest.mark.parametrize("command", ["convert", "stream", "bench"])
@@ -353,6 +359,29 @@ class TestStream:
         assert list(stream) == list(bench)
         assert stream["chunk_count"] == bench["chunk_count"]
 
+    # Under GEOMETRY a chunk is late when its queued latency passes 32 + 16 ms:
+    # the 30 ms chunk finishes at 62 ms and the 3 ms one queued behind it at 49.
+    @pytest.mark.parametrize("command", ["stream", "bench"])
+    @pytest.mark.parametrize("slow, warning", [
+        (1.0, ""),
+        (10.0, "warning: {late} of {count} chunks finished after their deadline (late_chunks); "
+               "the first is chunks[2]\n"),
+    ], ids=["on-time", "late"])
+    def test_late_chunks_are_named_on_stderr(self, capsys, wavs, tmp_path, monkeypatch, command, slow, warning):
+        timings = ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (slow, slow, slow), (1.0, 1.0, 1.0))
+        monkeypatch.setattr(cli, "stream_run", lambda source, reference, cfg, codec, converter: (
+            source, LatencyReport(cfg, timings, 0.1, source.duration_s)))
+        src, ref = wavs
+        repeats = ["--repeats", "2"] if command == "bench" else []
+        assert main([command, "--source", src, "--reference", ref, *repeats,
+                     "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        runs = 2 if command == "bench" else 1
+        assert payload["late_chunks"] == (2 * runs if warning else 0)
+        assert payload["chunk_count"] == 4 * runs
+        assert captured.err == warning.format(late=payload["late_chunks"], count=payload["chunk_count"])
+
     def test_identity_round_trips_the_file_exactly(self, capsys, wavs, tmp_path):
         # A codec round trip moves int16 grid values by ~1e-12, far below
         # half a quantization step, so the rewritten file is the same.
@@ -393,7 +422,7 @@ class TestStream:
         ]) == 2
 
     @pytest.mark.parametrize("command", ["stream", "bench"])
-    @pytest.mark.parametrize("window", ["inf", "nan"])
+    @pytest.mark.parametrize("window", ["inf", "nan", "-inf"])
     def test_non_finite_window_exits_2_naming_it(self, capsys, wavs, tmp_path, command, window):
         src, ref = wavs
         assert main([

@@ -331,6 +331,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ConverterConfig(n_layers=0)
 
+    # d_model 1 used to fail inside numpy at the first call, and d_model 3 to
+    # fill column 2 with sin(p*w_0) where sin(p*w_1) belongs.
+    @pytest.mark.parametrize("d_model", [1, 3, 5])
+    def test_rejects_odd_d_model(self, d_model):
+        message = f"d_model must be even, as positions pair a sin with a cos, got {d_model}"
+        with pytest.raises(ValueError, match=message):
+            ConverterConfig(d_model=d_model, n_heads=1, d_head=d_model)
+        with pytest.raises(ValueError, match=message):
+            sinusoidal_positions(np.arange(4), d_model)
+
     def test_param_count_default(self):
         assert param_count(init_params(ConverterConfig(), seed=0)) == 55_341_568
 
@@ -1072,17 +1082,19 @@ class TestCheckpoint:
 
     # Config values must have their field's JSON type: 2.0 is not an int,
     # and neither true nor 1 nor "no" is an int or a bool of the other kind.
+    # d_model must also be even.
     @pytest.mark.parametrize("field, value", [
         ("n_layers", 2.0),
         ("ffn_ratio", True),
         ("update_cond_branch", "no"),
         ("use_speaker_condition", 1),
-    ], ids=["float-for-int", "bool-for-int", "str-for-bool", "int-for-bool"])
+        ("d_model", 63),
+    ], ids=["float-for-int", "bool-for-int", "str-for-bool", "int-for-bool", "odd-d_model"])
     def test_config_value_of_the_wrong_type(self, tmp_path, field, value):
         p, nbytes = self.medium_checkpoint(tmp_path)
         rewrite_header(p, lambda h: h["config"].__setitem__(field, value))
         self.assert_refused_unread(p, nbytes)
-        with pytest.raises(CheckpointError, match=f"invalid config in header.*{field}"):
+        with pytest.raises(CheckpointError, match=f"invalid config in header.*{field} must"):
             load_params(p)
 
     def test_header_length_past_eof(self, tmp_path):

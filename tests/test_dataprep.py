@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentvc import (
     RoleMode,
@@ -21,7 +22,8 @@ from latentvc import (
     speaker_embedding,
     synth_pair,
 )
-from latentvc.dataprep import MIN_PAIR_DURATION_S, SEGMENT_SAMPLES
+from latentvc.audio_io import SAMPLE_RATE
+from latentvc.dataprep import MIN_PAIR_DURATION_S, SEGMENT_SAMPLES, _content_signal, _smooth_length, _speaker_curve
 
 from conftest import make_wave
 
@@ -106,11 +108,46 @@ class TestAssignRoles:
         assert tgt is self.pair.generated
 
 
+# n = 100003 samples, a prime: the transform runs at the least 5-smooth
+# length above it, 101250, and is cut back to n.
+PRIME_DURATION_S = 6.2501875
+DURATIONS = [4.8, PRIME_DURATION_S]
+
+
+def is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def render_at_n(content, speaker):
+    """The length-n render that synth_pair gives where n is 5-smooth: one
+    forward and one inverse transform of exactly n samples per side."""
+    n = len(content)
+    freqs = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE)
+    return np.fft.irfft(np.fft.rfft(content) * _speaker_curve(freqs, speaker), n=n)
+
+
+SMOOTH_PAIR_LENGTHS = [m for m in range(76800, 115201) if is_5_smooth(m)]
+
+
+class TestSmoothLength:
+    def test_is_the_least_5_smooth_length_at_or_above(self):
+        want, m = [], 1
+        for n in range(1, 20001):
+            while m < n or not is_5_smooth(m):
+                m += 1
+            want.append(m)
+        assert [_smooth_length(n) for n in range(1, 20001)] == want
+
+
 class TestSynthPair:
-    def test_lengths_and_alignment(self):
-        pair = synth_pair(7, 1, 2, duration_s=5.0)
-        assert len(pair.real) == 80000
-        assert len(pair.generated) == 80000
+    @pytest.mark.parametrize("duration_s, n", [(5.0, 80000), (PRIME_DURATION_S, 100003)])
+    def test_lengths_and_alignment(self, duration_s, n):
+        pair = synth_pair(7, 1, 2, duration_s=duration_s)
+        assert len(pair.real) == n
+        assert len(pair.generated) == n
 
     def test_rejects_short_duration(self):
         with pytest.raises(ValueError):
@@ -125,18 +162,36 @@ class TestSynthPair:
         with pytest.raises(ValueError, match="equal lengths, got 8000 and 7999"):
             UtterancePair(make_wave(8000), make_wave(7999))
 
-    def test_deterministic(self):
-        a = synth_pair(3, 5, 6, duration_s=4.8)
-        b = synth_pair(3, 5, 6, duration_s=4.8)
+    @pytest.mark.parametrize("duration_s", DURATIONS)
+    def test_deterministic(self, duration_s):
+        a = synth_pair(3, 5, 6, duration_s=duration_s)
+        b = synth_pair(3, 5, 6, duration_s=duration_s)
         assert np.array_equal(a.real.samples, b.real.samples)
         assert np.array_equal(a.generated.samples, b.generated.samples)
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.sampled_from(SMOOTH_PAIR_LENGTHS), content_seed=st.integers(0, 2**31 - 1),
+           speakers=st.tuples(st.integers(0, 9999), st.integers(0, 9999)))
+    def test_5_smooth_length_is_bitwise_the_length_n_render(self, n, content_seed, speakers):
+        pair = synth_pair(content_seed, *speakers, duration_s=n / SAMPLE_RATE)
+        content = _content_signal(content_seed, n)
+        assert np.array_equal(pair.real.samples, render_at_n(content, speakers[0]))
+        assert np.array_equal(pair.generated.samples, render_at_n(content, speakers[1]))
+
+    @pytest.mark.parametrize("duration_s", DURATIONS)
+    def test_content_is_transformed_once_per_pair(self, monkeypatch, duration_s):
+        calls, rfft = [], np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        synth_pair(3, 5, 6, duration_s=duration_s)
+        assert len(calls) == 1
 
     def test_speakers_differ(self):
         pair = synth_pair(3, 5, 6, duration_s=4.8)
         assert not np.allclose(pair.real.samples, pair.generated.samples)
 
-    def test_same_speaker_means_identical_rendering(self):
-        pair = synth_pair(3, 5, 5, duration_s=4.8)
+    @pytest.mark.parametrize("duration_s", DURATIONS)
+    def test_same_speaker_means_identical_rendering(self, duration_s):
+        pair = synth_pair(3, 5, 5, duration_s=duration_s)
         assert np.array_equal(pair.real.samples, pair.generated.samples)
 
     def test_content_seed_changes_signal(self):
