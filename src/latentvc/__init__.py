@@ -6,10 +6,14 @@ one step, and a chunkwise streaming engine emits audio with a fixed,
 accounted-for latency. Training-data construction (synthetic pairs, role
 assignment, segment excision) and the in-scope loss terms live alongside.
 
-`__all__` is the surface that the command line, the demos and the
-benchmark use; `offline_run` and `stream_run` convert waveforms. The
-building blocks imported here but left out of it, such as `tensor_shapes`
-or `compute_t_model`, are documented in their modules.
+`__all__` is what `from latentvc import *` gives: the waveform and its WAV
+I/O, the codec, the converter and its checkpoints, the data preparation,
+features and losses, and `offline_run` and `stream_run`, which convert
+waveforms. It is not all that the command line and the benchmark use: they
+also import widths, constants and building blocks, such as `D_LATENT`,
+`speaker_embedding_from_mel` or `SEGMENT_SAMPLES`, from their modules, which
+document those and the names imported here but left out of `__all__`, such
+as `tensor_shapes` or `compute_t_model`.
 """
 from .audio_io import SAMPLE_RATE, Waveform, read_wav, slice_pad, write_wav
 from .codec import CodecInterface, toy_codec, toy_decode, toy_encode

@@ -82,12 +82,10 @@ def write_wav(path: str | Path, w: Waveform) -> int:
 
     Round trip through `read_wav` reproduces in-range samples to within one
     quantization step (1/32768). Returns the number of clipped samples,
-    which is also logged.
+    which is also logged once the file is written.
     """
     hi = 32767.0 / _PCM_SCALE
     clipped = int(np.count_nonzero((w.samples < -1.0) | (w.samples > hi)))
-    if clipped:
-        log.warning("write_wav(%s): clipped %d out-of-range samples", path, clipped)
     pcm = np.rint(np.clip(w.samples, -1.0, hi) * _PCM_SCALE).astype("<i2")
     try:
         # opened here: a `wave.Wave_write` whose own open fails prints a traceback when collected
@@ -98,6 +96,8 @@ def write_wav(path: str | Path, w: Waveform) -> int:
             wf.writeframes(pcm.tobytes())
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
+    if clipped:
+        log.warning("write_wav(%s): clipped %d out-of-range samples", path, clipped)
     return clipped
 
 

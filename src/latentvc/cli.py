@@ -2,11 +2,11 @@
 
 Subcommands: convert (offline), stream, bench, features, make-pairs,
 sample-roles, eval-loss. Each returns a small JSON payload, which `main`
-writes to `--report`, if given, and then prints to stdout; the report must
-not be an input or a file the command writes, and its directory must exist,
-which `main` checks before the command runs. This is the one place that reads
-paths and flags: `main` checks each numeric flag against `FLOORS`, and the
-commands call `offline_run` and `stream_run` and write `--output`.
+writes to `--report`, if given, and then prints to stdout. This is the one
+place that reads paths and flags: before the command runs, `main` checks each
+numeric flag against `FLOORS` and every file the command writes against the
+path rule of `_check_paths`, and the commands call `offline_run` and
+`stream_run` and write `--output`.
 
 Exit codes: 0 success, 2 invalid arguments, 3 unreadable or malformed
 input (audio files, checkpoints), 4 non-finite values detected in audio
@@ -117,33 +117,33 @@ def _converter(args: argparse.Namespace) -> ConverterFn:
     return make_converter(params)
 
 
-def _names_one_of(path: str | None, others: tuple[str | Path | None, ...]) -> bool:
-    return path is not None and os.path.realpath(path) in {os.path.realpath(p) for p in others if p is not None}
-
-
 def _feature_paths(base: str) -> tuple[Path, Path, Path]:
     return tuple(Path(base + ext) for ext in (".mel.f32", ".mel.json", ".spk.f32"))
 
 
-def _check_report(args: argparse.Namespace) -> None:
-    """Refuse, before the command writes anything, a `--report` that names an input, a file the command
-    writes or an existing directory (exit 2), or whose directory does not exist (exit 3)."""
-    files = [getattr(args, name, None) for name in ("source", "reference", "checkpoint", "output")]
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse each file the command writes (the `--report`, then the `--output` WAV or the three `features`
+    files) that names another path of the command, lies inside the `make-pairs` corpus or is an existing
+    directory (exit 2), or whose directory does not exist and is not made by the command (exit 3)."""
+    paths = {f"--{f}": getattr(args, f, None) for f in ("report", "source", "reference", "checkpoint", "output")}
+    writes = ["--report", "--output"] if args.command in ("convert", "stream", "bench") else ["--report"]
     if args.command == "features":
-        files += _feature_paths(args.output)
-    if _names_one_of(args.report, tuple(files)):
-        raise ValueError("--report must differ from the input paths and the files the command writes")
-    if args.command == "make-pairs" and Path(os.path.realpath(args.report)).is_relative_to(os.path.realpath(args.output)):
-        raise ValueError("--report must differ from the files that make-pairs writes: it is inside --output")
-    if os.path.isdir(args.report):
-        raise ValueError("--report must differ from an existing directory")
-    if not Path(args.report).parent.is_dir():
-        raise FileNotFoundError(f"--report {args.report}: directory {Path(args.report).parent} does not exist")
+        files = {f"features file {p}": p for p in _feature_paths(args.output)}
+        paths, writes = paths | files, writes + list(files)
+    real = {name: os.path.realpath(p) for name, p in paths.items() if p is not None}
+    for name in (w for w in writes if w in real):
+        other = next((o for o in real if o != name and real[o] == real[name]), None)
+        if other is not None:
+            raise ValueError(f"{name} must differ from {other}: both name {real[name]}")
+        if args.command == "make-pairs" and Path(real[name]).is_relative_to(real["--output"]):
+            raise ValueError(f"{name} must differ from the files that make-pairs writes: it is inside --output")
+        if os.path.isdir(paths[name]):
+            raise ValueError(f"{name} must differ from an existing directory")
+        if name in ("--report", "--output") and not Path(paths[name]).parent.is_dir():  # features makes its own
+            raise FileNotFoundError(f"{name} {paths[name]}: directory {Path(paths[name]).parent} does not exist")
 
 
 def _inputs(args: argparse.Namespace) -> tuple[Waveform, Waveform, ConverterFn]:
-    if _names_one_of(args.output, (args.source, args.reference, args.checkpoint)):
-        raise ValueError("--output must differ from the input paths")
     converter = _converter(args)  # a checkpoint is refused before any audio is read
     return read_wav(args.source), read_wav(args.reference), converter
 
@@ -192,13 +192,10 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
 
 
 def _cmd_features(args: argparse.Namespace) -> dict:
-    paths = _feature_paths(args.output)
-    if _names_one_of(args.source, paths):
-        raise ValueError("--source must differ from the files that features writes")
     w = read_wav(args.source)
     mel = mel_spectrogram(w)
     spk = speaker_embedding_from_mel(mel)
-    mel_path, meta_path, spk_path = paths
+    mel_path, meta_path, spk_path = _feature_paths(args.output)
     mel_path.parent.mkdir(parents=True, exist_ok=True)
     mel_path.write_bytes(np.ascontiguousarray(mel, dtype="<f4").tobytes())
     meta_path.write_text(json.dumps({"rows": int(mel.shape[0]), "cols": int(mel.shape[1])}) + "\n")
@@ -308,8 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, low in FLOORS.items():  # `< np.inf`, as np.isfinite raises on an int past float range
             if not low <= getattr(args, name, low) < np.inf:
                 raise ValueError(f"--{name.replace('_', '-')} must be finite and >= {low}, got {getattr(args, name)}")
-        if args.report is not None:
-            _check_report(args)
+        _check_paths(args)
         text = json.dumps(args.func(args), indent=2)
         if args.report is not None:  # first, so that stdout carries a payload only when every file is written
             Path(args.report).write_text(text + "\n")

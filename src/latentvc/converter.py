@@ -421,14 +421,9 @@ def _convert(
     update = cfg.update_cond_branch
     q_scale, half = _q_scale(cfg, dtype), dtype.type(0.5)
 
-    # The branches share `ln` and the `work` arena (see `forward`). The
-    # arena's phases, each done with before the next starts: the staged
-    # latents; the packed qkv, whose query rows take the attention output;
-    # the FFN hidden array. `ln` holds a branch's normed state or sublayer
-    # output, or attention's scores, which are live only between the last
-    # QKV product and the first attention-out product. Both are sized for
-    # the call up front, so a call never regrows either while an older view
-    # of it is alive.
+    # `forward`'s docstring describes the work buffers, the arena's phases and
+    # where the scores live. `ln` and the arena are sized for the call up
+    # front, so a call never regrows either while an older view of it is alive.
     T_u = T_c if update and cfg.n_layers > 1 else 0  # condition tokens that are updated
     ln_size = max(d * max(T_s, T_c), T * (T_s + T_u))
     arena = max(cfg.d_latent * T_s, 3 * d * T, d_ffn * max(T_s, T_u))
@@ -572,8 +567,7 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     The returned callable is single-stream. It holds no copy of the weights:
     it multiplies with views of `params.tensors` (see `forward` for
     row-major matrices), so building it allocates nothing. It holds one set
-    of the four work buffers `forward` lists (the scores in `ln`, the
-    attention output in the packed QKV's query rows), each as large as the
+    of the work buffers that `forward` describes, each as large as the
     largest call has needed, and a position table as long as the longest
     sequence it has seen, all freed with it. It also holds the prepared
     state of the last reference it saw, with a private copy of that (c, g)

@@ -8,7 +8,10 @@ results of their float64 widening, from the slicing helper to whole
 offline and streaming conversions.
 """
 
+import gc
+import re
 import struct
+import sys
 import wave
 
 import numpy as np
@@ -123,6 +126,17 @@ class TestWavRoundTrip:
         back = read_wav(p)
         assert back.samples[0] == pytest.approx(32767 / 32768)
         assert back.samples[1] == -1.0
+
+    def test_failed_write_raises_naming_the_path_and_logs_no_clip(self, tmp_path, caplog, monkeypatch):
+        # No clip count is logged for a file that was never written, and no half-built
+        # `wave.Wave_write` is left to print a traceback when it is collected.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        p = tmp_path / "missing" / "clip.wav"
+        with caplog.at_level("WARNING"), pytest.raises(OSError, match=f"failed to write {re.escape(str(p))}"):
+            write_wav(p, Waveform(np.array([2.0, -2.0, 0.0])))
+        gc.collect()
+        assert caplog.records == [] and unraisable == []
 
     def test_round_trip_quantization_error_bound(self, tmp_path):
         w = make_wave(8000, seed=11, amp=0.1)

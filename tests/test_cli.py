@@ -5,13 +5,16 @@ they write, and the exit-code contract: 0 ok, 2 bad arguments, 3 broken
 input files, 4 non-finite values in the pipeline.
 """
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentvc import (
     LatencyReport,
@@ -43,6 +46,19 @@ def wavs(tmp_path):
 
 def files_of(paths):
     return {p: Path(p).read_bytes() for p in paths}
+
+
+def tree_of(root):
+    """Every file and directory under `root`, with each file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def refuse_runs(monkeypatch):
+    """Fail the test if a command starts converting, so a refusal is seen to come first."""
+    def run(*args, **kwargs):
+        pytest.fail("the command ran before its paths were checked")
+    monkeypatch.setattr(cli, "offline_run", run)
+    monkeypatch.setattr(cli, "stream_run", run)
 
 
 class TestConvert:
@@ -105,13 +121,25 @@ class TestConvert:
         assert captured.out == "" and str(report) in captured.err and "does not exist" in captured.err
         assert not out.exists() and not report.parent.exists()
 
-    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
-    def test_output_in_a_missing_directory_exits_3_naming_it(self, capsys, wavs, tmp_path):
+    @pytest.mark.parametrize("command", ["convert", "stream", "bench"])
+    def test_output_in_a_missing_directory_exits_3_naming_it(self, capsys, wavs, tmp_path, monkeypatch, command):
+        # Refused before the run, not after it has converted the whole source.
+        refuse_runs(monkeypatch)
         src, ref = wavs
         out = tmp_path / "missing" / "out.wav"
-        assert main(["convert", "--source", src, "--reference", ref, "--output", str(out), "--identity"]) == 3
+        assert main([command, "--source", src, "--reference", ref, "--output", str(out), "--identity"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and f"failed to write {out}" in captured.err
+        assert captured.out == "" and str(out) in captured.err and "does not exist" in captured.err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["convert", "stream", "bench"])
+    def test_output_naming_an_existing_directory_exits_2(self, capsys, wavs, tmp_path, monkeypatch, command):
+        refuse_runs(monkeypatch)
+        src, ref = wavs
+        assert main([command, "--source", src, "--reference", ref, "--output", str(tmp_path), "--identity"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--output must differ from an existing directory" in captured.err
+        assert {p.name for p in tmp_path.iterdir()} == {"src.wav", "ref.wav"}
 
     def test_missing_source_exits_3(self, capsys, wavs, tmp_path):
         _, ref = wavs
@@ -259,6 +287,58 @@ class TestConvert:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+
+class TestPathRule:
+    """Any two path flags of a command, one naming a file that the command writes, are refused with
+    exit 2 before any file is read or written, however either path is spelled."""
+
+    FLAGS = {
+        **{command: ("--source", "--reference", "--checkpoint", "--output", "--report")
+           for command in ("convert", "stream", "bench")},
+        "features": ("--source", "--output", "--report"),
+        "make-pairs": ("--output", "--report"),
+        "eval-loss": ("--source", "--reference", "--report"),
+    }
+    PAIRS = [(command, a, b) for command, flags in FLAGS.items() for a in flags for b in flags
+             if a < b and {a, b} & {"--output", "--report"}]
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=st.sampled_from(PAIRS), spellings=st.tuples(*[st.sampled_from(["x", "./x", "d/../x", "abs"])] * 2),
+           inside=st.sampled_from(["", "/manifest.json", "/sub/r.json"]),
+           ext=st.sampled_from([".mel.f32", ".mel.json", ".spk.f32"]))
+    def test_two_flags_naming_one_file_exit_2_untouched(self, tmp_path_factory, pair, spellings, inside, ext):
+        command, a, b = pair
+        tmp = tmp_path_factory.mktemp("paths")
+        wav = tmp / "src.wav"
+        write_wav(wav, make_wave(8000, seed=51, amp=0.2))
+        (tmp / "ref.wav").write_bytes(wav.read_bytes())
+        (tmp / "d").mkdir()
+        # Both flags name x, a WAV, so the command would run if its paths went unchecked. Where one is
+        # the features prefix or the make-pairs corpus x, the other names a features file or a path in x.
+        suffix = {"features": ext, "make-pairs": inside}.get(command, "") if "--output" in pair else ""
+        shared = tmp / ("x" + suffix)
+        shared.parent.mkdir(parents=True, exist_ok=True)
+        shared.write_bytes(wav.read_bytes())
+        defaults = {"--source": "src.wav", "--reference": "ref.wav", "--output": "out.wav", "--report": None,
+                    "--checkpoint": None}
+        named = dict(zip((a, b), (str(tmp / "x") if spelling == "abs" else spelling for spelling in spellings)))
+        named = {flag: path + (suffix if flag != "--output" else "") for flag, path in named.items()}
+        argv = [command]
+        for flag in self.FLAGS[command]:
+            path = named.get(flag, defaults[flag])
+            argv += [flag, path] if path is not None else []
+        if command in ("convert", "stream", "bench"):
+            argv += [] if "--checkpoint" in named else ["--identity"]
+            argv += GEOMETRY if command != "convert" else []
+        before = tree_of(tmp)
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+            mp.chdir(tmp)
+            code = main(argv)
+        assert code == 2, (argv, err.getvalue())
+        assert out.getvalue() == "" and "must differ" in err.getvalue()
+        assert tree_of(tmp) == before
 
 
 class TestFlagFloors:
@@ -524,7 +604,7 @@ class TestFeatures:
         clip = tmp_path / ("clip" + ext)
         clip.write_bytes(Path(src).read_bytes())
         assert main(["features", "--source", str(clip), "--output", str(tmp_path / "." / "clip")]) == 2
-        assert "--source must differ" in capsys.readouterr().err
+        assert "must differ from --source" in capsys.readouterr().err
         assert clip.read_bytes() == Path(src).read_bytes()
         assert set(tmp_path.iterdir()) == {Path(src), Path(ref), clip}
 
