@@ -12,7 +12,7 @@ Latency splits into a model part (current + overlap + future: audio the
 model must wait for) and a compute part (per-chunk encode/convert/decode
 wall time); history is already-received past audio and costs nothing.
 
-`offline_run` is the single-pass counterpart over the whole utterance. Both
+`offline_run` is one step over a window holding the whole utterance. Both
 take waveforms and return audio; only the command line touches files.
 """
 from __future__ import annotations
@@ -296,15 +296,15 @@ def stream_step(
     t0 = time.perf_counter()
     z = codec.encode(window)
     t1 = time.perf_counter()
+    del window  # an offline window is the whole source: free it before decode allocates
     z_hat = converter(z, state.cond_mel, state.spk)
     if not np.isfinite(z_hat).all():
         raise NonFiniteError(f"converter output at step {k} contains non-finite values")
     t2 = time.perf_counter()
     y = codec.decode(z_hat)
     t3 = time.perf_counter()
-    if len(y) != len(window):
-        raise ValueError(f"step {k} decoded {len(y)} samples from a {len(window)}-sample window")
-
+    if len(y) != cfg.window_samples:
+        raise ValueError(f"step {k} decoded {len(y)} samples from a {cfg.window_samples}-sample window")
     out = y.samples[H : H + C].copy()
     new_tail = y.samples[H + C : H + C + O].copy()
     if k >= 1 and O > 0:
@@ -349,22 +349,13 @@ def offline_run(
     codec: CodecInterface,
     converter: ConverterFn,
 ) -> tuple[Waveform, float]:
-    """Single-pass conversion of the whole utterance; returns (audio, rtf).
+    """Convert the whole utterance in one pass; returns (audio, rtf).
 
-    The source is zero-padded up to a codec-hop multiple for encoding and
-    the output trimmed back, so lengths match exactly; a decode of another
-    length than the encoded audio raises ValueError.
-    """
-    n = len(source)
-    if n < 1:
-        raise ValueError("source must contain at least one sample")
-    wall_start = time.perf_counter()
-    ref = init_stream(reference)
-    padded = slice_pad(source, 0, math.ceil(n / codec.hop) * codec.hop)
-    z = codec.encode(padded)
-    y = codec.decode(converter(z, ref.cond_mel, ref.spk))
-    if len(y) != len(padded):
-        raise ValueError(f"decoded {len(y)} samples from {len(padded)} encoded ones")
-    out = Waveform(y.samples[:n])
-    wall_s = time.perf_counter() - wall_start
-    return out, wall_s / source.duration_s
+    This is `stream_run` over one window, all of it current: the source
+    zero-padded to W samples, a codec-hop multiple (W/16 ms is exact in
+    binary). The step's checks of the converter output and the decode
+    length name step 0."""
+    W = math.ceil(max(len(source), 1) / codec.hop) * codec.hop
+    ms = W * 1000.0 / SAMPLE_RATE
+    out, report = stream_run(source, reference, StreamConfig(ms, ms, 0.0, 0.0), codec, converter)
+    return out, report.rtf

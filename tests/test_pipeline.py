@@ -12,14 +12,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from latentvc import (
+    CodecInterface,
     Waveform,
     identity_converter,
     init_params,
     make_converter,
+    mel_spectrogram,
     offline_run,
     read_wav,
+    slice_pad,
+    speaker_embedding,
     stream_run,
     toy_codec,
     write_wav,
@@ -27,7 +32,7 @@ from latentvc import (
 from latentvc import cli
 from latentvc.cli import main
 
-from conftest import GEOMETRY, SMALL_STREAM, WIDE_TINY, make_wave, run_cli
+from conftest import GEOMETRY, SMALL_STREAM, WIDE_TINY, gated_params, make_wave, run_cli
 
 
 @pytest.fixture()
@@ -55,7 +60,7 @@ class TestOfflineRun:
         assert rtf > 0.0
 
     def test_rejects_empty_source(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="source must contain at least one sample"):
             offline_run(Waveform(np.zeros(0)), make_wave(4096), toy_codec(), identity_converter)
 
     def test_linear_converter_scales_audio(self):
@@ -68,6 +73,40 @@ class TestOfflineRun:
 
         out, _ = offline_run(src, ref, toy_codec(), doubler)
         assert np.max(np.abs(out.samples - 2.0 * src.samples)) < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5000), n_ref=st.integers(1024, 6000),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    @example(seed=5, n=1, n_ref=1024, dtype=np.float32)
+    @example(seed=6, n=5000, n_ref=1024, dtype=np.float64)
+    def test_is_one_encode_convert_decode_pass(self, seed, n, n_ref, dtype):
+        # the single-pass pipeline written out longhand: pad the source to a
+        # hop multiple, encode, convert against the reference's features,
+        # decode and trim
+        conv = make_converter(gated_params(WIDE_TINY, seed))
+        r = np.random.default_rng(seed)
+        src = Waveform((0.3 * r.standard_normal(n)).astype(dtype))
+        ref = Waveform(0.3 * r.standard_normal(n_ref))
+        codec = toy_codec()
+        out, _ = offline_run(src, ref, codec, conv)
+        padded = slice_pad(src, 0, math.ceil(n / codec.hop) * codec.hop)
+        want = codec.decode(conv(codec.encode(padded), mel_spectrogram(ref), speaker_embedding(ref))).samples[:n]
+        assert out.samples.dtype == want.dtype
+        assert np.array_equal(out.samples, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 2_000_000), hop=st.integers(1, 4096))
+    @example(n=2_000_000, hop=4096)
+    @example(n=1_999_999, hop=4095)
+    @example(n=2_000_000, hop=1)
+    @example(n=1, hop=4096)
+    def test_identity_is_exact_at_any_hop(self, n, hop):
+        # a framewise reshape codec is exact, so the output is the source bit
+        # for bit only if the window holds exactly the hop-padded source
+        codec = CodecInterface(lambda w: w.samples.reshape(-1, hop), lambda z: Waveform(z.reshape(-1)), hop=hop)
+        src = Waveform(np.random.default_rng(n).standard_normal(n))
+        out, _ = offline_run(src, make_wave(1024, seed=hop), codec, identity_converter)
+        assert np.array_equal(out.samples, src.samples)
 
 
 class TestConvertOffline:

@@ -263,6 +263,9 @@ class TestStreamStep:
             stream_step(state, cfg, src, 2, toy_codec(), nan_at_step_2)
         assert state.k == 2
         assert state.retained_tail is tail
+        # offline conversion is step 0 of a one-window stream
+        with pytest.raises(NonFiniteError, match="step 0"):
+            offline_run(src, short_wave, toy_codec(), gain_converter([np.nan]))
 
     @pytest.mark.parametrize("codec,converter", [
         (toy_codec(), lambda z, c, g: z[:-1]),
@@ -281,7 +284,7 @@ class TestStreamStep:
         assert state.retained_tail is tail
         with pytest.raises(ValueError, match="step 0 decoded"):
             stream_run(src, short_wave, cfg, codec, converter)
-        with pytest.raises(ValueError, match="decoded 768 samples from 1024 encoded ones"):
+        with pytest.raises(ValueError, match="step 0 decoded 768 samples from a 1024-sample window"):
             offline_run(src, short_wave, codec, converter)
 
     def test_window_is_checked_against_the_codec_hop(self, short_wave):
