@@ -41,9 +41,10 @@ def mel_to_hz(m):
 def mel_filterbank() -> np.ndarray:
     """(N_MELS, n_fft//2 + 1) triangular filters, unit peak, HTK mel spacing.
 
-    At 128 bins over 0-8 kHz the lowest triangles are narrower than one FFT
-    bin (15.625 Hz) and may contain no bin center; those filters are all-zero
-    and their log-mel output sits at the floor.
+    At 128 bins over 0-8 kHz the lowest triangles rise and fall over less
+    than one FFT bin (15.625 Hz) each, so their peaks fall between bin
+    centers; every filter still covers at least one bin, and the smallest
+    sampled peak is 0.57.
     """
     n_bins = N_FFT // 2 + 1
     bin_hz = np.arange(n_bins) * (SAMPLE_RATE / N_FFT)

@@ -43,8 +43,12 @@ def _ms_to_samples(ms: float, what: str) -> int:
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Window geometry in milliseconds; sample counts derive at 16 kHz.
+    """Window geometry in milliseconds, converted once to whole samples at
+    16 kHz and checked on those counts.
 
+    The counts are kept as `window_samples`, `current_samples`,
+    `overlap_samples`, `future_samples` and `history_samples`; they are not
+    fields, so construction, equality and `fields` see only the four ms.
     Defaults give a 2.4 s window, the training segment of `dataprep`, split
     2160 | 120 | 20 | 100 ms, i.e. 38400 samples = 34560 + 1920 + 320 + 1600.
     """
@@ -55,44 +59,23 @@ class StreamConfig:
     future_ms: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.current_ms < 1000.0 / SAMPLE_RATE:
+        W, C, O, F = (_ms_to_samples(getattr(self, n), n) for n in ("window_ms", "current_ms", "overlap_ms", "future_ms"))
+        H = W - C - O - F
+        if C < 1:
             raise ValueError(f"current_ms must be at least one sample, got {self.current_ms}")
-        if self.overlap_ms < 0 or self.future_ms < 0:
+        if O < 0 or F < 0:
             raise ValueError("overlap_ms and future_ms must be >= 0")
-        if self.overlap_ms > self.current_ms:
+        if O > C:
             # the overlap is blended into the head of the next current region
             raise ValueError(f"overlap_ms={self.overlap_ms} exceeds current_ms={self.current_ms}")
-        if self.history_ms < 0:
+        if H < 0:
             raise ValueError(
                 f"window_ms={self.window_ms} too short for current+overlap+future="
                 f"{self.current_ms + self.overlap_ms + self.future_ms} ms"
             )
-        for name in ("window_ms", "current_ms", "overlap_ms", "future_ms"):
-            _ms_to_samples(getattr(self, name), name)
-
-    @property
-    def history_ms(self) -> float:
-        return self.window_ms - self.current_ms - self.overlap_ms - self.future_ms
-
-    @property
-    def window_samples(self) -> int:
-        return _ms_to_samples(self.window_ms, "window_ms")
-
-    @property
-    def current_samples(self) -> int:
-        return _ms_to_samples(self.current_ms, "current_ms")
-
-    @property
-    def overlap_samples(self) -> int:
-        return _ms_to_samples(self.overlap_ms, "overlap_ms")
-
-    @property
-    def future_samples(self) -> int:
-        return _ms_to_samples(self.future_ms, "future_ms")
-
-    @property
-    def history_samples(self) -> int:
-        return self.window_samples - self.current_samples - self.overlap_samples - self.future_samples
+        counts = {"window_samples": W, "current_samples": C, "overlap_samples": O, "future_samples": F, "history_samples": H}
+        for name, n in counts.items():
+            object.__setattr__(self, name, n)
 
 
 def compute_t_model(cfg: StreamConfig) -> float:
@@ -213,7 +196,7 @@ class LatencyReport:
             "chunks": [list(t) for t in self.timings],
             "queued_ms": queued.tolist(),
             "t_queued_ms": {"p50": float(np.median(queued)), "max": float(queued.max())},
-            "late_chunks": len(self.late),
+            "late_chunks": int(np.count_nonzero(queued > self.t_model_ms + self.cfg.current_ms)),
         }
 
 

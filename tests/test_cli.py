@@ -501,6 +501,15 @@ class TestStream:
             "--current-ms", "0",
         ]) == 2
 
+    def test_fractional_sample_geometry_exits_2_naming_it(self, capsys, wavs, tmp_path):
+        # 0.03 ms is 0.48 samples at 16 kHz
+        src, ref = wavs
+        assert main([
+            "stream", "--source", src, "--reference", ref,
+            "--output", str(tmp_path / "out.wav"), "--identity", "--overlap-ms", "0.03",
+        ]) == 2
+        assert "overlap_ms=0.03 ms is not a whole number of samples" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["stream", "bench"])
     @pytest.mark.parametrize("window", ["inf", "nan", "-inf"])
     def test_non_finite_window_exits_2_naming_it(self, capsys, wavs, tmp_path, command, window):

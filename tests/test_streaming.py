@@ -59,7 +59,6 @@ class TestStreamConfig:
         assert cfg.future_samples == 1600
         assert cfg.history_samples == 34560
         assert cfg.window_samples == 38400
-        assert cfg.history_ms == 2160.0
 
     def test_t_model_decomposition(self):
         cfg = StreamConfig()
@@ -595,6 +594,26 @@ class TestStreamingProperties:
                     stream_step(init_stream(REFERENCE), cfg, REFERENCE, 0, toy_codec(), identity_converter)
         else:
             with pytest.raises(ValueError):
+                StreamConfig(**kwargs)
+
+    @settings(max_examples=200)
+    @given(W=st.integers(-64, 3072), C=st.integers(-64, 3072), O=st.integers(-64, 3072), F=st.integers(-64, 3072),
+           nudge=st.tuples(*[st.floats(-6e-8, 6e-8)] * 4))
+    @example(W=38400, C=1, O=0, F=1600, nudge=(0.0, 0.0624999999 - 1 / 16, 0.0, 0.0))
+    @example(W=38400, C=1920, O=1920, F=1600, nudge=(0.0, 0.0, 120.00000001 - 120, 0.0))
+    @example(W=38400, C=1920, O=320, F=36160, nudge=(0.0, 0.0, 0.0, 2260.00000005 - 2260))
+    def test_geometry_is_checked_on_whole_samples(self, W, C, O, F, nudge):
+        # each ms value is off its whole-sample grid point by at most 6e-8 ms
+        # (9.6e-7 samples), inside the whole-sample tolerance, so the config
+        # must hold the integer geometry and accept exactly the valid ones
+        counts = (W, C, O, F)
+        kwargs = {f"{name}_ms": n / 16 + d for name, n, d in zip(("window", "current", "overlap", "future"), counts, nudge)}
+        if C >= 1 and 0 <= O <= C and F >= 0 and C + O + F <= W:
+            cfg = StreamConfig(**kwargs)
+            got = (cfg.window_samples, cfg.current_samples, cfg.overlap_samples, cfg.future_samples, cfg.history_samples)
+            assert got == (*counts, W - C - O - F)
+        else:
+            with pytest.raises(ValueError, match="_ms"):
                 StreamConfig(**kwargs)
 
 
