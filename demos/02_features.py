@@ -16,8 +16,8 @@ print(f"input: {len(pair.real)} samples -> mel {mel.shape} "
       f"(frame_count says {frame_count(len(pair.real))})")
 print(f"mel value range: [{mel.min():.2f}, {mel.max():.2f}] (natural log, floored)")
 
-emb_a = speaker_embedding(pair.real)
-emb_b = speaker_embedding(pair.generated)
+emb_a = speaker_embedding(mel)
+emb_b = speaker_embedding(mel_spectrogram(pair.generated))
 print(f"speaker embedding: dim {emb_a.shape[0]}, "
       f"norm {np.linalg.norm(emb_a):.6f}")
 
@@ -27,5 +27,5 @@ print("(the renderings share every tone, so this stat-pooled embedding")
 print(" keeps them highly correlated; the gap below 1 is the speaker")
 print(" margin the similarity loss works with)")
 
-same = speaker_embedding(pair.real)
+same = speaker_embedding(mel_spectrogram(pair.real))
 print(f"deterministic for a fixed seed: {np.array_equal(emb_a, same)}")

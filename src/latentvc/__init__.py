@@ -11,7 +11,7 @@ I/O, the codec, the converter and its checkpoints, the data preparation,
 features and losses, and `offline_run` and `stream_run`, which convert
 waveforms. It is not all that the command line and the benchmark use: they
 also import widths, constants and building blocks, such as `D_LATENT`,
-`speaker_embedding_from_mel` or `SEGMENT_SAMPLES`, from their modules, which
+`SPK_DIM` or `SEGMENT_SAMPLES`, from their modules, which
 document those and the names imported here but left out of `__all__`, such
 as `tensor_shapes` or `compute_t_model`.
 """

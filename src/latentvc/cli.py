@@ -29,7 +29,7 @@ from .codec import D_LATENT, toy_codec
 from .converter import ConverterConfig, ConverterFn, identity_converter, init_params, load_params, make_converter
 from .dataprep import MIN_PAIR_DURATION_S, RoleMode, RoleProbs, sample_mode, synth_pair
 from .errors import AudioFormatError, CheckpointError, NonFiniteError
-from .features import N_MELS, SPK_DIM, mel_spectrogram, speaker_embedding_from_mel
+from .features import N_MELS, SPK_DIM, mel_spectrogram, speaker_embedding
 from .streaming import LatencyReport, StreamConfig, offline_run, stream_run
 from .trainer import loss_breakdown
 
@@ -194,7 +194,7 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
 def _cmd_features(args: argparse.Namespace) -> dict:
     w = read_wav(args.source)
     mel = mel_spectrogram(w)
-    spk = speaker_embedding_from_mel(mel)
+    spk = speaker_embedding(mel)
     mel_path, meta_path, spk_path = _feature_paths(args.output)
     mel_path.parent.mkdir(parents=True, exist_ok=True)
     mel_path.write_bytes(np.ascontiguousarray(mel, dtype="<f4").tobytes())

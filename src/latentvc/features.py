@@ -5,9 +5,10 @@ The mel extractor is fixed to the codec's 62.5 Hz frame rate: hop 256 at
 HTK-style triangular filters spanning 0-8000 Hz, natural log with a 1e-5
 power floor.
 
-The speaker encoder is a deterministic stand-in for a learned model: mel
-statistics pooling (per-bin mean and std over time), one fixed random
-projection to 192 dims that every caller shares, and L2 normalization.
+The speaker encoder, a deterministic stand-in for a learned model, takes
+that log-mel, not audio, so one mel serves both conditions: statistics
+pooling (per-bin mean and std over time), one fixed random projection to
+192 dims that every caller shares, and L2 normalization.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .audio_io import SAMPLE_RATE, Waveform
 from .codec import HOP
+from .errors import NonFiniteError
 
 N_FFT = 1024
 WIN_LENGTH = 1024
@@ -99,18 +101,15 @@ def speaker_projection() -> np.ndarray:
     return proj
 
 
-def speaker_embedding(w: Waveform) -> np.ndarray:
-    """192-dim unit-norm speaker vector from mel statistics pooling.
-
-    Pools the log-mel to [per-bin mean; per-bin std over time] (256 dims),
-    applies the fixed projection, and L2-normalizes. Deterministic.
-    """
-    return speaker_embedding_from_mel(mel_spectrogram(w))
-
-
-def speaker_embedding_from_mel(mel: np.ndarray) -> np.ndarray:
-    """`speaker_embedding` of the waveform whose log-mel is `mel`, for callers
-    that already hold it."""
+def speaker_embedding(mel: np.ndarray) -> np.ndarray:
+    """192-dim unit-norm speaker vector of a (T >= 1, 128) log-mel, as
+    `mel_spectrogram` returns: [per-bin mean; per-bin std over time] (256
+    dims) through the fixed projection, L2-normalized. Deterministic."""
+    if not isinstance(mel, np.ndarray) or mel.ndim != 2 or mel.shape[0] < 1 or mel.shape[1] != N_MELS:
+        got = getattr(mel, "shape", type(mel).__name__)
+        raise ValueError(f"speaker embedding needs a (T >= 1, {N_MELS}) log-mel, got {got}")
+    if not np.isfinite(mel).all():
+        raise NonFiniteError("log-mel contains NaN or Inf")
     pooled = np.concatenate([mel.mean(axis=0), mel.std(axis=0)])
     raw = speaker_projection() @ pooled
     norm = np.linalg.norm(raw)

@@ -28,7 +28,7 @@ from .codec import CodecInterface
 from .converter import ConverterFn
 from .dataprep import SEGMENT_SAMPLES
 from .errors import NonFiniteError
-from .features import mel_spectrogram, speaker_embedding_from_mel
+from .features import mel_spectrogram, speaker_embedding
 
 
 def _ms_to_samples(ms: float, what: str) -> int:
@@ -237,7 +237,7 @@ class StreamState:
 def init_stream(reference: Waveform) -> StreamState:
     """Precompute the conditioning features from the reference once."""
     mel = mel_spectrogram(reference)
-    return StreamState(cond_mel=mel, spk=speaker_embedding_from_mel(mel))
+    return StreamState(cond_mel=mel, spk=speaker_embedding(mel))
 
 
 def stream_step(

@@ -72,10 +72,7 @@ def loss_breakdown(pred: Waveform, target: Waveform) -> LossBreakdown:
         raise ValueError(f"waveform lengths differ: {len(pred)} vs {len(target)}")
     mel_p, mel_t = _features.mel_spectrogram(pred), _features.mel_spectrogram(target)
     mel, _ = mel_l1(mel_p, mel_t)
-    spk, _ = embedding_mse(
-        _features.speaker_embedding_from_mel(mel_p),
-        _features.speaker_embedding_from_mel(mel_t),
-    )
+    spk, _ = embedding_mse(_features.speaker_embedding(mel_p), _features.speaker_embedding(mel_t))
     return LossBreakdown(mel_recon=mel, spk_sim=spk)
 
 
@@ -90,13 +87,14 @@ def assemble_supervision(
     and the speaker embedding come from the condition waveform (the target
     utterance with the target segment removed); supervision targets are the
     target segment's latents and mel. `features` may supply alternative
-    `mel_spectrogram`/`speaker_embedding` callables.
+    `mel_spectrogram`/`speaker_embedding` callables; `speaker_embedding`
+    takes the mel that `mel_spectrogram` returned.
     """
     codec = codec if codec is not None else toy_codec()
     features = features if features is not None else _features
     z_src = codec.encode(example.source_seg)
     c = features.mel_spectrogram(example.cond_wave)
-    g = features.speaker_embedding(example.cond_wave)
+    g = features.speaker_embedding(c)
     z_tgt = codec.encode(example.target_seg)
     mel_tgt = features.mel_spectrogram(example.target_seg)
     return z_src, c, g, z_tgt, mel_tgt

@@ -595,7 +595,7 @@ class TestFeatures:
 
         w = read_wav(src)
         mel = mel_spectrogram(w)
-        spk = speaker_embedding(w)
+        spk = speaker_embedding(mel)
         assert payload == {"mel_rows": mel.shape[0], "mel_cols": 128, "spk_dim": 192}
 
         meta = json.loads((tmp_path / "feat" / "base.mel.json").read_text())
@@ -604,6 +604,14 @@ class TestFeatures:
         assert np.allclose(raw.reshape(meta["rows"], meta["cols"]), mel, atol=1e-6)
         raw_spk = np.frombuffer((tmp_path / "feat" / "base.spk.f32").read_bytes(), dtype="<f4")
         assert np.allclose(raw_spk, spk, atol=1e-6)
+
+    def test_non_finite_mel_exits_4_writing_nothing(self, capsys, wavs, tmp_path, monkeypatch):
+        # no 16-bit WAV gives a non-finite mel, so the extractor is patched
+        monkeypatch.setattr(cli, "mel_spectrogram", lambda w: np.full((3, 128), np.inf))
+        src, _ = wavs
+        assert main(["features", "--source", src, "--output", str(tmp_path / "feat" / "base")]) == 4
+        assert "log-mel contains NaN or Inf" in capsys.readouterr().err
+        assert not (tmp_path / "feat").exists()
 
     @pytest.mark.parametrize("ext", [".mel.f32", ".mel.json", ".spk.f32"])
     def test_source_that_features_would_write_exits_2_untouched(self, capsys, wavs, tmp_path, ext):

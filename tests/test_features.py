@@ -6,10 +6,14 @@ vectorized extractor is checked against independently constructed math,
 not against itself.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latentvc import Waveform, mel_spectrogram, speaker_embedding
+from latentvc import NonFiniteError, Waveform, mel_spectrogram, speaker_embedding
 from latentvc.features import (
     FMAX,
     FMIN,
@@ -23,7 +27,6 @@ from latentvc.features import (
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
-    speaker_embedding_from_mel,
     speaker_projection,
 )
 
@@ -113,13 +116,13 @@ class TestMelSpectrogram:
 
 class TestSpeakerEmbedding:
     def test_unit_norm_and_shape(self, short_wave):
-        e = speaker_embedding(short_wave)
+        e = speaker_embedding(mel_spectrogram(short_wave))
         assert e.shape == (SPK_DIM,)
         assert np.linalg.norm(e) == pytest.approx(1.0)
 
     def test_deterministic(self, short_wave):
-        a = speaker_embedding(short_wave)
-        b = speaker_embedding(short_wave)
+        a = speaker_embedding(mel_spectrogram(short_wave))
+        b = speaker_embedding(mel_spectrogram(short_wave))
         assert np.array_equal(a, b)
 
     def test_stat_pooling_oracle(self, short_wave):
@@ -127,12 +130,48 @@ class TestSpeakerEmbedding:
         pooled = np.concatenate([mel.mean(axis=0), mel.std(axis=0)])
         raw = speaker_projection() @ pooled
         want = raw / np.linalg.norm(raw)
-        assert np.allclose(speaker_embedding(short_wave), want, atol=1e-14)
+        assert np.allclose(speaker_embedding(mel), want, atol=1e-14)
 
     def test_zero_norm_is_refused(self):
         # a constant mel pools to all zeros, as its std is zero too
         with pytest.raises(ValueError, match="zero norm"):
-            speaker_embedding_from_mel(np.zeros((3, N_MELS)))
+            speaker_embedding(np.zeros((3, N_MELS)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.just(0), st.just(N_MELS)),
+            st.tuples(st.integers(0, 40), st.integers(0, 2 * N_MELS).filter(lambda w: w != N_MELS)),
+            st.tuples(st.integers(0, 300)),
+            st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(N_MELS)),
+        )
+    )
+    def test_a_mel_of_another_shape_is_refused_naming_both_shapes(self, shape):
+        # refused before pooling: a zero-frame mel would pool to NaN with
+        # RuntimeWarnings, and another width would fail inside the projection
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"\(T >= 1, {N_MELS}\) log-mel, got " + re.escape(str(shape))):
+                speaker_embedding(np.ones(shape))
+
+    def test_a_waveform_is_refused_naming_its_type(self, short_wave):
+        with pytest.raises(ValueError, match=rf"\(T >= 1, {N_MELS}\) log-mel, got Waveform"):
+            speaker_embedding(short_wave)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_frames=st.integers(1, 30),
+        where=st.integers(0, 30 * N_MELS - 1),
+        bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+    )
+    def test_a_non_finite_mel_is_refused(self, n_frames, where, bad):
+        # one non-finite entry would make the whole vector NaN
+        mel = np.random.default_rng(where).standard_normal((n_frames, N_MELS))
+        mel.flat[where % mel.size] = bad
+        with pytest.raises(NonFiniteError, match="log-mel contains NaN or Inf"):
+            speaker_embedding(mel)
+        with pytest.raises(NonFiniteError):
+            speaker_embedding(np.full((n_frames, N_MELS), bad))
 
     def test_projection_bounds(self):
         proj = speaker_projection()

@@ -90,7 +90,8 @@ class TestOfflineRun:
         codec = toy_codec()
         out, _ = offline_run(src, ref, codec, conv)
         padded = slice_pad(src, 0, math.ceil(n / codec.hop) * codec.hop)
-        want = codec.decode(conv(codec.encode(padded), mel_spectrogram(ref), speaker_embedding(ref))).samples[:n]
+        c = mel_spectrogram(ref)
+        want = codec.decode(conv(codec.encode(padded), c, speaker_embedding(c))).samples[:n]
         assert out.samples.dtype == want.dtype
         assert np.array_equal(out.samples, want)
 

@@ -125,7 +125,9 @@ class TestWaveformLosses:
 
     def test_speaker_sim_matches_direct_embeddings(self, short_wave):
         other = make_wave(len(short_wave), seed=97)
-        want, _ = embedding_mse(speaker_embedding(short_wave), speaker_embedding(other))
+        want, _ = embedding_mse(
+            speaker_embedding(mel_spectrogram(short_wave)), speaker_embedding(mel_spectrogram(other))
+        )
         assert loss_breakdown(short_wave, other).spk_sim == want
 
 
@@ -165,8 +167,22 @@ class TestAssembleSupervision:
         assert np.array_equal(z_src, toy_encode(ex.source_seg))
         assert np.array_equal(z_tgt, toy_encode(ex.target_seg))
         assert np.array_equal(c, mel_spectrogram(ex.cond_wave))
-        assert np.array_equal(g, speaker_embedding(ex.cond_wave))
+        assert np.array_equal(g, speaker_embedding(mel_spectrogram(ex.cond_wave)))
         assert np.array_equal(mel_tgt, mel_spectrogram(ex.target_seg))
+
+    def test_each_waveform_is_transformed_once(self, monkeypatch):
+        # the speaker vector comes from the condition mel already computed,
+        # so one example runs the mel extractor twice: condition and target
+        ex = self._example()
+        calls = []
+
+        def counted(w):
+            calls.append(len(w))
+            return mel_spectrogram(w)
+
+        monkeypatch.setattr("latentvc.features.mel_spectrogram", counted)
+        assemble_supervision(ex)
+        assert calls == [len(ex.cond_wave), len(ex.target_seg)]
 
     def test_condition_excludes_target_segment(self):
         # conditioning features must come from the excised waveform, which
