@@ -30,12 +30,11 @@ reference (c, g), and a per-chunk body over the source latents.
 calls, so a stream pays for it once; its closure is single-stream and
 refuses concurrent or reentrant calls.
 
-The blocks multiply feature-major activations by (out, in) matrices. The
-projection matrices are therefore stored out-major (Fortran order): their
-transpose is C-contiguous, so the hot path multiplies with views and the
-process holds one copy of the weights. Checkpoints (format 3) store them in
-the same order, so a loaded model's weights are read-only views of the
-mapped file.
+The blocks multiply feature-major activations by (out, in) matrices, so
+`ConverterParams` stores the projection matrices out-major (Fortran order)
+when it is built: their transposes are C-contiguous views, and the process
+holds one copy of the weights. Checkpoints (format 3) store them in the same
+order, so a loaded model's weights are read-only views of the mapped file.
 """
 from __future__ import annotations
 
@@ -114,8 +113,8 @@ def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
 
     Linear weights have shape (in, out) and are applied as ``x @ w + b``. This
     map is the single source of truth for init, save, and load. Shape is not
-    storage order: `init_params` and `load_params` lay out the projection
-    matrices (`src_in.w`, `cond_in.w`, `src_out.w`, and each block's `qkv.w`,
+    storage order: `ConverterParams` lays out the projection matrices
+    (`src_in.w`, `cond_in.w`, `src_out.w`, and each block's `qkv.w`,
     `attn_out.w`, `ffn.w1`, `ffn.w2`) out-major, i.e. in Fortran order, and
     everything else row-major.
 
@@ -153,8 +152,15 @@ def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class ConverterParams:
+    """A config and its named tensors, each laid out in place in its `tensor_shapes`
+    storage order when built (a copy only if it was in another); `prepare` checks it."""
+
     cfg: ConverterConfig
     tensors: dict[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        for name, t in self.tensors.items():
+            self.tensors[name] = np.asarray(t, order=_storage_order(name))
 
 
 def param_count(params: ConverterParams) -> int:
@@ -166,8 +172,7 @@ def init_params(cfg: ConverterConfig, seed: int) -> ConverterParams:
 
     The zeroed `adaln.w2`/`adaln.b2` make all six modulation vectors zero at
     init, so every block starts as the identity on both branches. Each
-    tensor is drawn in its `tensor_shapes` shape, in that order, and stored
-    in the storage order `tensor_shapes` describes.
+    tensor is drawn in its `tensor_shapes` shape, in that order.
     """
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
@@ -177,7 +182,7 @@ def init_params(cfg: ConverterConfig, seed: int) -> ConverterParams:
         else:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
             w = rng.uniform(-limit, limit, size=shape)
-        tensors[name] = w.astype(np.float32, order=_storage_order(name))
+        tensors[name] = w.astype(np.float32)
     return ConverterParams(cfg=cfg, tensors=tensors)
 
 
@@ -306,12 +311,6 @@ def _buf(scratch: dict, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     return _at(a, shape)
 
 
-def _w(t: dict[str, np.ndarray], name: str) -> np.ndarray:
-    """Projection matrix `name` as the C-contiguous (out, in) matrix the blocks
-    multiply with: a view for out-major storage, a copy for row-major."""
-    return np.ascontiguousarray(t[name].T)
-
-
 def _q_scale(cfg: ConverterConfig, dtype: np.dtype):
     """Attention's 1/sqrt(d_head), applied to query rows after their bias add."""
     return dtype.type(1.0) / np.sqrt(dtype.type(cfg.d_head))
@@ -323,7 +322,7 @@ def _qkv_into(t, prefix: str, h: np.ndarray, mod, ln: np.ndarray, out: np.ndarra
     into `out`: q, k and v, or k and v alone. With all 3*d rows the query
     rows are scaled by `q_scale`."""
     n = len(out)
-    np.matmul(_w(t, prefix + "qkv.w")[-n:], _ln_fm_into(h, ln, mod), out=out)
+    np.matmul(t[prefix + "qkv.w"].T[-n:], _ln_fm_into(h, ln, mod), out=out)
     out += t[prefix + "qkv.b"][-n:, None]
     if n == 3 * len(h):
         out[: len(h)] *= q_scale
@@ -355,32 +354,34 @@ class Prepared:
 
 
 def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray, scratch: dict) -> Prepared:
-    """Validate the reference (c, g) and compute its per-reference state.
+    """Check the weights' layout, validate the reference (c, g) and compute its state.
 
     The condition stream gets its input projection and positions (starting
     at 0, from the table in the caller's `scratch`); the speaker vector
     gives the modulations of every layer.
     """
     cfg, t = params.cfg, params.tensors
+    for name, w in t.items():
+        if not w.flags[_storage_order(name)]:
+            raise ValueError(f"tensor {name} is not in its storage order; build a ConverterParams to lay it out")
     dtype = t["src_in.w"].dtype
-    c = np.asarray(c)
-    g = np.asarray(g).reshape(-1)
+    c, g = np.asarray(c), np.asarray(g)
     if c.ndim != 2 or c.shape[1] != cfg.d_cond:
         raise ValueError(f"condition must be (T_c, {cfg.d_cond}), got {c.shape}")
     if g.shape != (cfg.d_spk,):
-        raise ValueError(f"speaker vector must have dim {cfg.d_spk}, got {g.shape}")
+        raise ValueError(f"speaker vector must be ({cfg.d_spk},), got {g.shape}")
     if c.shape[0] < 1:
         raise ValueError("condition must have at least one frame")
     for name, arr in (("condition", c), ("speaker vector", g)):
         if not np.isfinite(arr).all():
-            raise NonFiniteError(f"{name} contain non-finite values")
+            raise NonFiniteError(f"{name} contains non-finite values")
 
     d, T_c = cfg.d_model, c.shape[0]
     if cfg.use_speaker_condition:
         mods = speaker_modulations(params, g.astype(dtype))
     else:  # no scale, shift or gate anywhere
         mods = [{"src": (None,) * 6, "cond": (None,) * 6}] * cfg.n_layers
-    h_cond0 = _w(t, "cond_in.w") @ np.ascontiguousarray(c.T, dtype=dtype)
+    h_cond0 = t["cond_in.w"].T @ np.ascontiguousarray(c.T, dtype=dtype)
     h_cond0 += t["cond_in.b"][:, None]
     h_cond0 += _positions(scratch, T_c, d, dtype).T
     rows = [len(t["layers.0.cond.qkv.b"])] if cfg.update_cond_branch else [2 * d] * cfg.n_layers
@@ -431,7 +432,7 @@ def _convert(
     zT = _at(work, (cfg.d_latent, T_s))
     np.copyto(zT, z.T)
     h_src = _buf(scratch, "src.h", (d, T_s), dtype)
-    np.matmul(_w(t, "src_in.w"), zT, out=h_src)
+    np.matmul(t["src_in.w"].T, zT, out=h_src)
     h_src += t["src_in.b"][:, None]
     h_src += _positions(scratch, T_s, d, dtype).T
     h_cond = _buf(scratch, "cond.h", (d, T_c), dtype)
@@ -479,17 +480,17 @@ def _convert(
         for br, h, cols in live:
             p = f"layers.{i}.{br}."
             out = _at(ln, h.shape)
-            np.matmul(_w(t, p + "attn_out.w"), qkv[:d, cols], out=out)
+            np.matmul(t[p + "attn_out.w"].T, qkv[:d, cols], out=out)
             _add_gated(h, out, t[p + "attn_out.b"], prep.mods[i][br][2])
         for br, h, cols in live:
             p = f"layers.{i}.{br}."
             _, _, _, s2, b2, a2 = prep.mods[i][br]
             ln_h = _at(ln, h.shape)
             hid = _at(work, (d_ffn, h.shape[1]))
-            np.matmul(_w(t, p + "ffn.w1"), _ln_fm_into(h, ln_h, (s2, b2)), out=hid)
+            np.matmul(t[p + "ffn.w1"].T, _ln_fm_into(h, ln_h, (s2, b2)), out=hid)
             hid += t[p + "ffn.b1"][:, None]
             # GELU has finished with `ln_h` as its temporary before W2 writes it.
-            np.matmul(_w(t, p + "ffn.w2"), _gelu_in_place(hid, ln_h), out=ln_h)
+            np.matmul(t[p + "ffn.w2"].T, _gelu_in_place(hid, ln_h), out=ln_h)
             ln_h *= half
             _add_gated(h, ln_h, t[p + "ffn.b2"], a2)
 
@@ -498,7 +499,7 @@ def _convert(
 
     ln_s = _ln_fm_into(h_src, _at(ln, (d, T_s)))
     outT = _at(work, (cfg.d_latent, T_s))
-    np.matmul(_w(t, "src_out.w"), ln_s, out=outT)
+    np.matmul(t["src_out.w"].T, ln_s, out=outT)
     outT += t["src_out.b"][:, None]
     out = outT.T.copy()
     if return_trace:
@@ -532,9 +533,8 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     attention is T_s x T). The condition state is a work-buffer copy.
 
     The body keeps activations feature-major (d, T) and multiplies with the
-    (out, in) transposes of the projection matrices, which are views when
-    the matrices are stored out-major (as `init_params` and `load_params`
-    store them) and per-call copies otherwise. It reuses work buffers
+    (out, in) transposes of the projection matrices: views, as
+    `ConverterParams` stores the matrices out-major. It reuses work buffers
     across layers and operates in place where it can; one chunk must stay
     well under its own duration on a single core, and GEMM orientation,
     allocation churn, and page faults were all measured costs.
@@ -565,8 +565,8 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     """Bind parameters into the (z, c, g) -> z callable that the runs use.
 
     The returned callable is single-stream. It holds no copy of the weights:
-    it multiplies with views of `params.tensors` (see `forward` for
-    row-major matrices), so building it allocates nothing. It holds one set
+    it multiplies with views of `params.tensors`, so building it allocates
+    nothing. It holds one set
     of the work buffers that `forward` describes, each as large as the
     largest call has needed, and a position table as long as the longest
     sequence it has seen, all freed with it. It also holds the prepared

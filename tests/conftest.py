@@ -11,7 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from latentvc import ConverterConfig, StreamConfig, Waveform, init_params, save_params
+from latentvc import (
+    ConverterConfig, ConverterParams, StreamConfig, Waveform, init_params, save_params, tensor_shapes,
+)
 from latentvc.cli import main
 
 
@@ -42,11 +44,8 @@ def tiny_cfg():
 def tiny_params(tiny_cfg):
     """Tiny config with random nonzero weights (not the zero-gate init)."""
     rng = np.random.default_rng(123)
-    params = init_params(tiny_cfg, seed=0)
-    for name in params.tensors:
-        params.tensors[name] = rng.standard_normal(
-            params.tensors[name].shape).astype(np.float32) * 0.1
-    return params
+    return ConverterParams(tiny_cfg, {name: rng.standard_normal(shape).astype(np.float32) * 0.1
+                                      for name, shape in tensor_shapes(tiny_cfg).items()})
 
 
 @pytest.fixture

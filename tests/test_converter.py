@@ -14,6 +14,7 @@ format version, and the condition-pre-only last block.
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -186,16 +187,14 @@ def whole_block_shapes(cfg):
 
 
 def random_params(cfg, seed):
-    """Row-major weights drawn for the whole last block, as before the
-    condition-pre-only block, of which that block keeps its live columns;
-    so every seed keeps the values it always gave."""
-    params = init_params(cfg, seed=0)
+    """Weights drawn for the whole last block, as before the condition-pre-only
+    block, of which that block keeps its live columns; so every seed keeps the
+    values it always gave."""
     r = np.random.default_rng(seed)
-    for name, shape in whole_block_shapes(cfg).items():
-        full = r.standard_normal(shape).astype(np.float32) * 0.2
-        if name in params.tensors:
-            params.tensors[name] = np.ascontiguousarray(live_columns(name, full, params.tensors[name].shape))
-    return params
+    drawn = {name: r.standard_normal(shape).astype(np.float32) * 0.2
+             for name, shape in whole_block_shapes(cfg).items()}
+    return ConverterParams(cfg, {name: live_columns(name, drawn[name], shape)
+                                 for name, shape in tensor_shapes(cfg).items()})
 
 
 def random_tiny_params(seed, **flag_overrides):
@@ -209,12 +208,6 @@ OUT_MAJOR = ("src_in.w", "cond_in.w", "src_out.w", "qkv.w", "attn_out.w", "ffn.w
 
 def is_out_major(name):
     return name.endswith(OUT_MAJOR)
-
-
-def out_major_copy(params):
-    """The same tensor values with the projection matrices stored out-major."""
-    return ConverterParams(params.cfg, {n: np.asfortranarray(a) if is_out_major(n) else a.copy()
-                                        for n, a in params.tensors.items()})
 
 
 # Large enough that the model's bytes dwarf the checkpoint header's python
@@ -571,11 +564,34 @@ class TestStorageLayout:
     @settings(max_examples=25, deadline=None)
     @given(cfg=tiny_configs, t_s=st.integers(1, 5), t_c=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_output_independent_of_storage_order(self, cfg, t_s, t_c, seed):
-        params = random_params(cfg, seed)
+        # Built from a dict in any order, the params hold one layout, so the
+        # output does not depend on the order the tensors came in.
+        tensors = random_params(cfg, seed).tensors
         z, c, g = random_inputs(cfg, np.random.default_rng(seed), t_s, t_c)
-        row_major = make_converter(params)(z, c, g)
-        assert np.array_equal(make_converter(out_major_copy(params))(z, c, g), row_major)
-        assert np.array_equal(forward(out_major_copy(params), z, c, g), row_major)
+        row_major = ConverterParams(cfg, {n: np.ascontiguousarray(a) for n, a in tensors.items()})
+        out_major = ConverterParams(cfg, {n: np.asfortranarray(a) if is_out_major(n) else a.copy()
+                                          for n, a in tensors.items()})
+        for params in (row_major, out_major):
+            for n, t in params.tensors.items():
+                assert t.flags.f_contiguous if is_out_major(n) else t.flags.c_contiguous, n
+        want = forward(out_major, z, c, g)
+        assert np.array_equal(forward(row_major, z, c, g), want)
+        assert np.array_equal(make_converter(row_major)(z, c, g), want)
+        assert np.array_equal(make_converter(out_major)(z, c, g), want)
+
+    @pytest.mark.parametrize("suffix", OUT_MAJOR)
+    def test_row_major_projection_put_in_later_is_refused(self, tiny_params, suffix):
+        z, c, g = tiny_inputs(0)
+        names = [n for n in tiny_params.tensors if n.endswith(suffix)]
+        assert names
+        for name in names:
+            params = ConverterParams(tiny_params.cfg, dict(tiny_params.tensors))
+            params.tensors[name] = np.ascontiguousarray(params.tensors[name])
+            refusal = f"tensor {re.escape(name)} is not in its storage order"
+            with pytest.raises(ValueError, match=refusal):
+                forward(params, z, c, g)
+            with pytest.raises(ValueError, match=refusal):
+                make_converter(params)(z, c, g)
 
 
 class TestInitIdentity:
@@ -669,6 +685,14 @@ class TestForwardValidation:
         with pytest.raises(ValueError):
             forward(tiny_params, z, c, np.zeros(5))
 
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 4)])
+    def test_speaker_vector_shape_is_checked_as_given(self, tiny_params, shape):
+        # d_spk is 3: a vector of 3 elements in another shape is refused too,
+        # and the error names the shape that was passed.
+        z, c, _ = tiny_inputs(0)
+        with pytest.raises(ValueError, match=re.escape(f"speaker vector must be (3,), got {shape}")):
+            forward(tiny_params, z, c, np.zeros(shape))
+
     def test_empty_frames(self, tiny_params):
         z, c, g = tiny_inputs(0)
         with pytest.raises(ValueError):
@@ -703,16 +727,19 @@ class TestMakeConverter:
             z, c, g = tiny_inputs(seed)
             assert np.array_equal(conv(z, c, g), forward(tiny_params, z, c, g))
 
-    @pytest.mark.parametrize("flags", [{}, {"update_cond_branch": False}, {"use_speaker_condition": False}],
-                             ids=["default", "frozen", "no-speaker"])
-    def test_warm_call_reuses_its_buffers(self, default_params, flags):
+    @pytest.mark.parametrize("flags, copied", [({}, False), ({"update_cond_branch": False}, False),
+                                               ({"use_speaker_condition": False}, False), ({}, True)],
+                             ids=["default", "frozen", "no-speaker", "copied"])
+    def test_warm_call_reuses_its_buffers(self, default_params, flags, copied):
         # After a call with the same reference, what a call holds at its peak
         # is its output and the bool temporaries of comparing (c, g) with the
         # copy it keeps, one byte an element; a copy of the reference would
         # not fit. A work buffer allocated per call and alive when the output
         # is made would show, as 16 KiB is far below the smallest,
-        # (d_model, T_c) = 56 KiB here.
-        params = ConverterParams(replace(default_params.cfg, **flags), default_params.tensors)
+        # (d_model, T_c) = 56 KiB here. Row-major `.copy()`s of the weights
+        # are laid out when the params are built, so a call copies no weight.
+        tensors = {k: v.copy() for k, v in default_params.tensors.items()} if copied else default_params.tensors
+        params = ConverterParams(replace(default_params.cfg, **flags), tensors)
         r = np.random.default_rng(5)
         z, c, g = r.standard_normal((150, 1024)), r.standard_normal((28, 128)), r.standard_normal(192)
         conv = make_converter(params)
