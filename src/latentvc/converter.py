@@ -26,9 +26,10 @@ for the modulated norm and QKV projection, then one loop body for the
 attention outputs and one for the FFNs, each with its gated residual. A
 forward pass splits into `prepare`, the work that depends only on the
 reference (c, g), and a per-chunk body over the source latents.
-`make_converter` keeps the prepared state of the last reference across
-calls, so a stream pays for it once; its closure is single-stream and
-refuses concurrent or reentrant calls.
+`make_converter` keeps the prepared state of the last reference across calls,
+so a stream pays for it once; its closure is single-stream, refuses concurrent
+or reentrant calls, and reads the entries its params held when built, laid
+out: a later replacement does not reach it, an in-place write does.
 
 The blocks multiply feature-major activations by (out, in) matrices, so
 `ConverterParams` stores the projection matrices out-major (Fortran order)
@@ -153,7 +154,7 @@ def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
 @dataclass
 class ConverterParams:
     """A config and its named tensors, each laid out in place in its `tensor_shapes`
-    storage order when built (a copy only if it was in another); `prepare` checks it."""
+    storage order when built (a copy only if in another); a converter reads them as built."""
 
     cfg: ConverterConfig
     tensors: dict[str, np.ndarray]
@@ -354,16 +355,13 @@ class Prepared:
 
 
 def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray, scratch: dict) -> Prepared:
-    """Check the weights' layout, validate the reference (c, g) and compute its state.
+    """Validate the reference (c, g); compute its state from the laid-out snapshot `params`.
 
     The condition stream gets its input projection and positions (starting
     at 0, from the table in the caller's `scratch`); the speaker vector
     gives the modulations of every layer.
     """
     cfg, t = params.cfg, params.tensors
-    for name, w in t.items():
-        if not w.flags[_storage_order(name)]:
-            raise ValueError(f"tensor {name} is not in its storage order; build a ConverterParams to lay it out")
     dtype = t["src_in.w"].dtype
     c, g = np.asarray(c), np.asarray(g)
     if c.ndim != 2 or c.shape[1] != cfg.d_cond:
@@ -405,8 +403,7 @@ def _convert(
     """The per-chunk body of `forward`: source latents through the blocks
     against a prepared reference, reusing the four grow-only work buffers
     and the position table in `scratch`."""
-    cfg = params.cfg
-    t = params.tensors
+    cfg, t = params.cfg, params.tensors
     dtype = t["src_in.w"].dtype
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[1] != cfg.d_latent:
@@ -533,8 +530,8 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     attention is T_s x T). The condition state is a work-buffer copy.
 
     The body keeps activations feature-major (d, T) and multiplies with the
-    (out, in) transposes of the projection matrices: views, as
-    `ConverterParams` stores the matrices out-major. It reuses work buffers
+    (out, in) transposes of the projection matrices: views of the entries
+    `params` holds, laid out as `make_converter` says. It reuses work buffers
     across layers and operates in place where it can; one chunk must stay
     well under its own duration on a single core, and GEMM orientation,
     allocation churn, and page faults were all measured costs.
@@ -557,6 +554,7 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     table kept beside the work buffers and recomputed only when a longer
     sequence arrives; here all of them die with the call.
     """
+    params = ConverterParams(params.cfg, dict(params.tensors))
     scratch: dict = {}
     return _convert(params, prepare(params, c, g, scratch), z, scratch, return_trace)
 
@@ -564,9 +562,9 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
 def make_converter(params: ConverterParams) -> ConverterFn:
     """Bind parameters into the (z, c, g) -> z callable that the runs use.
 
-    The returned callable is single-stream. It holds no copy of the weights:
-    it multiplies with views of `params.tensors`, so building it allocates
-    nothing. It holds one set
+    The returned callable is single-stream. It multiplies with views of
+    the entries that `params.tensors` holds now, laid out: a later
+    replacement does not reach it, an in-place write does. It holds one set
     of the work buffers that `forward` describes, each as large as the
     largest call has needed, and a position table as long as the longest
     sequence it has seen, all freed with it. It also holds the prepared
@@ -578,6 +576,7 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     reentrantly, raises RuntimeError rather than corrupting the shared
     buffers; make a separate converter per concurrent stream.
     """
+    params = ConverterParams(params.cfg, dict(params.tensors))
     scratch: dict = {}
     busy = threading.Lock()
     ref, ref_state = None, None

@@ -487,6 +487,24 @@ class TestForwardProperties:
         want = oracle_forward(params, z, c, g)
         assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) < 1e-5
 
+    # ROADMAP item 4's fully recorded draws that the test above fails:
+    # d_model 2, a frozen condition branch and a float32 residual stream.
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 4: float32 residual stream")
+    @pytest.mark.parametrize("cfg, t_s, t_c, seed", [
+        (ConverterConfig(d_latent=4, d_cond=2, d_spk=1, d_model=2, n_layers=1, n_heads=1, d_head=2, ffn_ratio=2,
+                         update_cond_branch=False), 1, 2, 9999999),
+        (ConverterConfig(d_latent=3, d_cond=1, d_spk=1, d_model=2, n_layers=3, n_heads=1, d_head=2, ffn_ratio=1,
+                         update_cond_branch=False, use_speaker_condition=False), 1, 5, 2927968364),
+        (ConverterConfig(d_latent=2, d_cond=1, d_spk=2, d_model=2, n_layers=3, n_heads=1, d_head=2, ffn_ratio=1,
+                         update_cond_branch=False, use_speaker_condition=False), 3, 1, 5981712),
+    ], ids=["seed9999999", "seed2927968364", "seed5981712"])
+    def test_known_float32_cases_match_scalar_oracle(self, cfg, t_s, t_c, seed):
+        params = random_params(cfg, seed)
+        z, c, g = random_inputs(cfg, np.random.default_rng(seed), t_s, t_c)
+        got = forward(params, z, c, g)
+        want = oracle_forward(params, z, c, g)
+        assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) < 1e-5
+
     @settings(max_examples=25, deadline=None)
     @given(cfg=tiny_configs, t_c1=st.integers(1, 5), t_c2=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_closure_is_bitwise_forward_across_reference_changes(self, cfg, t_c1, t_c2, seed):
@@ -580,18 +598,42 @@ class TestStorageLayout:
         assert np.array_equal(make_converter(out_major)(z, c, g), want)
 
     @pytest.mark.parametrize("suffix", OUT_MAJOR)
-    def test_row_major_projection_put_in_later_is_refused(self, tiny_params, suffix):
+    def test_row_major_projection_put_in_later_is_laid_out(self, tiny_params, suffix):
+        # A converter lays out the entries it reads when it is built, so a
+        # row-major entry put in after construction gives the unedited
+        # output, and the caller's dict keeps the entry it was given.
         z, c, g = tiny_inputs(0)
+        want = forward(tiny_params, z, c, g)
         names = [n for n in tiny_params.tensors if n.endswith(suffix)]
         assert names
         for name in names:
             params = ConverterParams(tiny_params.cfg, dict(tiny_params.tensors))
-            params.tensors[name] = np.ascontiguousarray(params.tensors[name])
-            refusal = f"tensor {re.escape(name)} is not in its storage order"
-            with pytest.raises(ValueError, match=refusal):
-                forward(params, z, c, g)
-            with pytest.raises(ValueError, match=refusal):
-                make_converter(params)(z, c, g)
+            row_major = params.tensors[name] = np.ascontiguousarray(params.tensors[name])
+            assert not row_major.flags.f_contiguous, name
+            assert np.array_equal(forward(params, z, c, g), want), name
+            assert np.array_equal(make_converter(params)(z, c, g), want), name
+            assert params.tensors[name] is row_major, name
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs, t_c1=st.integers(1, 5), t_c2=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_a_converter_reads_the_entries_it_was_built_with(self, cfg, t_c1, t_c2, seed, data):
+        params = random_params(cfg, seed)
+        unedited = make_converter(ConverterParams(cfg, dict(params.tensors)))
+        r = np.random.default_rng(seed)
+        _, c1, g1 = random_inputs(cfg, r, 1, t_c1)
+        _, c2, g2 = random_inputs(cfg, r, 1, t_c2)
+        zs = [r.standard_normal((int(r.integers(1, 6)), cfg.d_latent)) for _ in range(3)]
+        conv = make_converter(params)
+        assert np.array_equal(conv(zs[0], c1, g1), unedited(zs[0], c1, g1))
+        # Scaled copies, some row-major, replace a drawn subset of entries.
+        names = data.draw(st.lists(st.sampled_from(sorted(params.tensors)), min_size=1, unique=True), label="names")
+        for name in names:
+            scaled = params.tensors[name] * np.float32(1.5)
+            params.tensors[name] = np.ascontiguousarray(scaled) if data.draw(st.booleans(), label=name) else scaled
+        for z, c, g in ((zs[1], c1, g1), (zs[2], c2, g2)):  # the same reference, then a new one
+            assert np.array_equal(conv(z, c, g), unedited(z, c, g))
+        assert np.array_equal(make_converter(params)(zs[2], c2, g2), forward(params, zs[2], c2, g2))
 
 
 class TestInitIdentity:
