@@ -15,6 +15,7 @@ or model state.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -37,13 +38,25 @@ from .trainer import loss_breakdown
 FLOORS = {"seed": 0, "count": 1, "draws": 1, "repeats": 1, "duration_s": MIN_PAIR_DURATION_S}
 
 
-def _cpu_model() -> str | None:
-    """The `model name` of /proc/cpuinfo, or None where there is none."""
+def _cpu() -> dict:
+    """The CPU as the first processor of /proc/cpuinfo names it (`model name`,
+    then `cpu family`, `model` and `stepping` as ints) and the size of cpu0's
+    level-3 cache in sysfs, such as "307200K"; None for what the host does not give."""
+    info = {}
     try:
         with open("/proc/cpuinfo") as f:
-            return next((line.split(":", 1)[1].strip() for line in f if line.startswith("model name")), None)
+            for line in itertools.takewhile(str.strip, f):  # up to the blank line that ends the first processor
+                key, _, value = line.partition(":")
+                info[key.strip()] = value.strip()
     except OSError:
-        return None
+        pass
+    try:
+        l3 = Path("/sys/devices/system/cpu/cpu0/cache/index3/size").read_text().strip() or None
+    except OSError:
+        l3 = None
+    number = {k: int(info[k]) if info.get(k, "").isdigit() else None for k in ("cpu family", "model", "stepping")}
+    return {"cpu_model": info.get("model name") or None, "cpu_family": number["cpu family"],
+            "cpu_model_id": number["model"], "cpu_stepping": number["stepping"], "l3_cache": l3}
 
 
 def _usage() -> tuple[float, float, float]:
@@ -53,13 +66,13 @@ def _usage() -> tuple[float, float, float]:
 
 
 def _machine(start: tuple[float, float, float]) -> dict:
-    """What a timing ran on: the CPU, the load around the run, the wall and
+    """What a timing ran on: the CPU and its L3, the load around the run, the wall and
     CPU seconds since `start` (a `_usage()` taken when the command began),
     numpy, its BLAS and the thread settings that BLAS reads at import."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     (load_start, wall_start, cpu_start), (load_end, wall_end, cpu_end) = start, _usage()
     return {
-        "cpu_model": _cpu_model(),
+        **_cpu(),
         "cpu_count": os.cpu_count(),
         "load_1m_start": load_start,
         "load_1m_end": load_end,

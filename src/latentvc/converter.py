@@ -31,11 +31,12 @@ so a stream pays for it once; its closure is single-stream, refuses concurrent
 or reentrant calls, and reads the entries its params held when built, laid
 out: a later replacement does not reach it, an in-place write does.
 
-The blocks multiply feature-major activations by (out, in) matrices, so
-`ConverterParams` stores the projection matrices out-major (Fortran order)
-when it is built: their transposes are C-contiguous views, and the process
-holds one copy of the weights. Checkpoints (format 3) store them in the same
-order, so a loaded model's weights are read-only views of the mapped file.
+Every matrix multiplies feature-major activations as (out, in), so
+`ConverterParams` stores every tensor in Fortran order (out-major for a
+matrix) when it is built: each transpose is a C-contiguous view, and the
+process holds one copy of the weights. Checkpoints (format 4) store them in
+the same order, so a loaded model's weights are read-only views of the
+mapped file.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ from .errors import CheckpointError, NonFiniteError
 from .features import N_MELS, SPK_DIM
 
 CHECKPOINT_MAGIC = b"LVCPRM01"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 LN_EPS = 1e-5
 # Page the whole checkpoint in when it is mapped, so no chunk pays for it.
 _MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
@@ -97,27 +98,13 @@ class ConverterConfig:
         return self.d_model * self.ffn_ratio
 
 
-# Projection matrices, by the last two parts of their name. They are stored
-# out-major so that `w.T` is the C-contiguous (out, in) matrix the blocks
-# multiply with. The adaptive-norm matrices stay row-major: they act on one
-# speaker vector per reference, and out-major storage would change the
-# rounding of those matrix-vector products.
-_OUT_MAJOR = frozenset(("src_in.w", "cond_in.w", "src_out.w", "qkv.w", "attn_out.w", "ffn.w1", "ffn.w2"))
-
-
-def _storage_order(name: str) -> str:
-    return "F" if ".".join(name.split(".")[-2:]) in _OUT_MAJOR else "C"
-
-
 def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape map for every parameter tensor.
 
     Linear weights have shape (in, out) and are applied as ``x @ w + b``. This
     map is the single source of truth for init, save, and load. Shape is not
-    storage order: `ConverterParams` lays out the projection matrices
-    (`src_in.w`, `cond_in.w`, `src_out.w`, and each block's `qkv.w`,
-    `attn_out.w`, `ffn.w1`, `ffn.w2`) out-major, i.e. in Fortran order, and
-    everything else row-major.
+    storage order: `ConverterParams` lays out every tensor in Fortran order,
+    so each matrix is stored out-major.
 
     The last condition block is condition-pre-only: it has only the key and
     value columns of `qkv.*` and the (s1, b1) columns of `adaln.w2`/`b2`.
@@ -153,15 +140,15 @@ def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class ConverterParams:
-    """A config and its named tensors, each laid out in place in its `tensor_shapes`
-    storage order when built (a copy only if in another); a converter reads them as built."""
+    """A config and its named tensors, each laid out in place in Fortran order
+    when built (a copy only if in another); a converter reads them as built."""
 
     cfg: ConverterConfig
     tensors: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
         for name, t in self.tensors.items():
-            self.tensors[name] = np.asarray(t, order=_storage_order(name))
+            self.tensors[name] = np.asarray(t, order="F")
 
 
 def param_count(params: ConverterParams) -> int:
@@ -169,16 +156,17 @@ def param_count(params: ConverterParams) -> int:
 
 
 def init_params(cfg: ConverterConfig, seed: int) -> ConverterParams:
-    """Glorot-uniform float32 weights, zero biases, zero adaptive-norm output layers.
+    """Glorot-uniform float32 matrices; zero vectors and adaptive-norm output layers.
 
-    The zeroed `adaln.w2`/`adaln.b2` make all six modulation vectors zero at
-    init, so every block starts as the identity on both branches. Each
-    tensor is drawn in its `tensor_shapes` shape, in that order.
+    Every 1-D tensor (each bias) is zero, and so is each `adaln.w2`: with
+    `adaln.b2` that makes all six modulation vectors zero at init, so every
+    block starts as the identity on both branches. Each matrix is drawn in
+    its `tensor_shapes` shape, in that order.
     """
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in tensor_shapes(cfg).items():
-        if name.endswith(".b") or name.endswith("b1") or name.endswith("b2") or name.endswith("adaln.w2"):
+        if len(shape) == 1 or name.endswith("adaln.w2"):
             w = np.zeros(shape)
         else:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
@@ -235,7 +223,8 @@ def _positions(scratch: dict, n: int, d_model: int, dtype) -> np.ndarray:
 def speaker_modulations(params: ConverterParams, g: np.ndarray) -> list[dict[str, tuple[np.ndarray, ...]]]:
     """Per-layer, per-branch modulation tuples (s1, b1, a1, s2, b2, a2) from g;
     (s1, b1) for the condition-pre-only last block. Each is a (d_model, 1)
-    column, the form the feature-major blocks multiply with.
+    column, the form the feature-major blocks multiply with. The adaptive-norm
+    MLP multiplies feature-major too, by the (out, in) transposes.
 
     s = 1 + gamma is stored pre-added so the hot path multiplies directly;
     at init gamma = beta = alpha = 0, i.e. s = 1, no shift, closed gates.
@@ -246,8 +235,8 @@ def speaker_modulations(params: ConverterParams, g: np.ndarray) -> list[dict[str
         layer = {}
         for br in ("src", "cond"):
             p = f"layers.{i}.{br}."
-            h = gelu(g @ t[p + "adaln.w1"] + t[p + "adaln.b1"])
-            mod = h @ t[p + "adaln.w2"] + t[p + "adaln.b2"]
+            h = gelu(t[p + "adaln.w1"].T @ g + t[p + "adaln.b1"])
+            mod = t[p + "adaln.w2"].T @ h + t[p + "adaln.b2"]
             parts = np.split(mod[:, None], len(mod) // params.cfg.d_model)
             for k in range(0, len(parts), 3):  # s1 and s2
                 parts[k] = 1.0 + parts[k]
@@ -645,10 +634,9 @@ def save_params(path: str | Path, params: ConverterParams) -> None:
     """Write magic, uint64 header length, JSON header, then float32 LE blobs.
 
     The header carries the format version, the config, and the `_manifest`
-    of the config. Each blob is in the storage order of `tensor_shapes`: an
-    out-major projection matrix is written as the row-major bytes of its
-    (out, in) transpose, every other tensor as the row-major bytes of its
-    shape. Trailing spaces pad the header so that the blob section starts on
+    of the config. Each blob is in the storage order of `ConverterParams`:
+    the row-major bytes of the tensor's transpose, (out, in) for a matrix.
+    Trailing spaces pad the header so that the blob section starts on
     a 64-byte boundary. The file at `path` is replaced by a new one, never
     rewritten in place.
     """
@@ -665,8 +653,7 @@ def save_params(path: str | Path, params: ConverterParams) -> None:
         f.write(len(header_bytes).to_bytes(8, "little"))
         f.write(header_bytes)
         for name in manifest:
-            t = params.tensors[name]
-            f.write(np.ascontiguousarray(t.T if _storage_order(name) == "F" else t, dtype="<f4"))
+            f.write(np.ascontiguousarray(params.tensors[name].T, dtype="<f4"))
 
 
 def load_params(path: str | Path) -> ConverterParams:
@@ -675,12 +662,14 @@ def load_params(path: str | Path) -> ConverterParams:
     The config is the one stored in the file. To change the ablation
     switches, apply `dataclasses.replace` to the result and its `cfg`.
 
-    Only format 3 (`CHECKPOINT_VERSION`) loads. Every check runs before any
+    Only format 4 (`CHECKPOINT_VERSION`) loads; format 3 has the same
+    manifest but row-major adaptive-norm matrices, so only its version number
+    tells it apart. Every check runs before any
     tensor is touched. The manifest must be the `_manifest` of the file's
     config, compared as JSON text, so an offset or dimension written as a
     float or a bool is refused, and the tensor data must start on the
     64-byte boundary `save_params` pads it to. The file is then mapped
-    read-only, and each tensor is a zero-copy view of the map in its storage
+    read-only, and each tensor is a zero-copy view of the map in Fortran
     order: read-only, aligned, and in pages that processes share. Replace a
     loaded file, as `save_params` does, rather than rewrite it in place: that
     changes or faults the weights of every process that has it mapped.
@@ -726,5 +715,5 @@ def load_params(path: str | Path) -> ConverterParams:
         start = header_end + offset
         if start + 4 * math.prod(shape) > len(mapped):
             raise CheckpointError(f"{path}: truncated file (short read in tensor {name})")
-        tensors[name] = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order=_storage_order(name))
+        tensors[name] = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order="F")
     return ConverterParams(cfg=file_cfg, tensors=tensors)

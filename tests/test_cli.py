@@ -239,7 +239,7 @@ class TestConvert:
         assert "error:" in capsys.readouterr().err
 
     def test_config_value_of_the_wrong_type_exits_3(self, capsys, wavs, tmp_path, tiny_ckpt):
-        # "n_layers": 1.0 in a padded format-3 header; the blobs are intact
+        # "n_layers": 1.0 in a padded format-4 header; the blobs are intact
         src, ref = wavs
         raw = Path(tiny_ckpt).read_bytes()
         header_end = 16 + int.from_bytes(raw[8:16], "little")
@@ -418,9 +418,13 @@ class TestStream:
                                          "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY])
         assert code == 0
         machine = payload["machine"]
-        assert set(machine) == {"cpu_model", "cpu_count", "load_1m_start", "load_1m_end", "wall_s", "cpu_s",
-                                "numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
-        assert machine["cpu_model"] is None or (isinstance(machine["cpu_model"], str) and machine["cpu_model"])
+        assert set(machine) == {"cpu_model", "cpu_family", "cpu_model_id", "cpu_stepping", "l3_cache", "cpu_count",
+                                "load_1m_start", "load_1m_end", "wall_s", "cpu_s", "numpy", "blas",
+                                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        for key in ("cpu_model", "l3_cache"):
+            assert machine[key] is None or (isinstance(machine[key], str) and machine[key]), key
+        for key in ("cpu_family", "cpu_model_id", "cpu_stepping"):
+            assert machine[key] is None or (type(machine[key]) is int and machine[key] >= 0), key
         assert machine["cpu_count"] is None or isinstance(machine["cpu_count"], int)
         assert all(isinstance(machine[k], float) and machine[k] >= 0.0 for k in ("load_1m_start", "load_1m_end", "cpu_s"))
         assert isinstance(machine["wall_s"], float) and machine["wall_s"] > 0.0

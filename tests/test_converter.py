@@ -6,7 +6,7 @@ random tiny geometries. Also covers the zero-gate identity at init, the two
 architecture flags, shape and finiteness validation, the reference cache and
 single-stream guard of `make_converter`, the storage layout of the weights
 and the memory that loading and binding them takes, and the checkpoint
-container (format 3): read-only mapped weights, saves that replace the
+container (format 4): read-only mapped weights, saves that replace the
 file, tamper rejection before any tensor is read, refusal of every other
 format version, and the condition-pre-only last block.
 """
@@ -201,15 +201,6 @@ def random_tiny_params(seed, **flag_overrides):
     return random_params(ConverterConfig(**{**TINY, **flag_overrides}), seed)
 
 
-# Projection matrices the converter multiplies with as (out, in); they are
-# stored out-major. Everything else is row-major.
-OUT_MAJOR = ("src_in.w", "cond_in.w", "src_out.w", "qkv.w", "attn_out.w", "ffn.w1", "ffn.w2")
-
-
-def is_out_major(name):
-    return name.endswith(OUT_MAJOR)
-
-
 # Large enough that the model's bytes dwarf the checkpoint header's python
 # objects under tracemalloc, small enough to build in milliseconds.
 MEDIUM = ConverterConfig(d_latent=32, d_cond=16, d_spk=8, d_model=64, n_layers=3, n_heads=4, d_head=16)
@@ -265,12 +256,15 @@ DEAD = ("attn_out.w", "attn_out.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
 def save_legacy(path, params, version):
-    """Write `params` as a format-1 or format-2 checkpoint, as older code did:
-    the whole last block, NaN in its dead tensors and columns; format-1
-    blobs row-major in their (in, out) shape, format-2 blobs in storage
-    order."""
+    """Write `params` as a checkpoint of format 1, 2 or 3, as older code did.
+    Formats 1 and 2 hold the whole last block, NaN in its dead tensors and
+    columns; format 3 has format 4's manifest. Format 1 writes each blob
+    row-major in its (in, out) shape; formats 2 and 3 write the adaptive-norm
+    matrices so too, and every other tensor as the row-major bytes of its
+    transpose."""
+    shapes = whole_block_shapes(params.cfg) if version < 3 else tensor_shapes(params.cfg)
     tensors, manifest, offset = {}, {}, 0
-    for name, shape in whole_block_shapes(params.cfg).items():
+    for name, shape in shapes.items():
         tensors[name] = np.full(shape, np.nan, np.float32)
         if name in params.tensors:
             live_columns(name, tensors[name], params.tensors[name].shape)[...] = params.tensors[name]
@@ -278,7 +272,7 @@ def save_legacy(path, params, version):
         offset += tensors[name].nbytes
     header = json.dumps({"format_version": version, "config": asdict(params.cfg), "manifest": manifest}).encode()
     header += b" " * ((-16 - len(header)) % 64)
-    blobs = b"".join(np.ascontiguousarray(t.T if version == 2 and is_out_major(n) else t).tobytes()
+    blobs = b"".join(np.ascontiguousarray(t.T if version > 1 and ".adaln." not in n else t).tobytes()
                      for n, t in tensors.items())
     replace_file(path, b"LVCPRM01" + len(header).to_bytes(8, "little") + header + blobs)
 
@@ -289,6 +283,10 @@ def save_v1(path, params):
 
 def save_v2(path, params):
     save_legacy(path, params, 2)
+
+
+def save_v3(path, params):
+    save_legacy(path, params, 3)
 
 
 def save_unaligned(path, params):
@@ -523,24 +521,25 @@ class TestForwardProperties:
 
 
 class TestStorageLayout:
-    def check_layout(self, params):
-        for name, t in params.tensors.items():
-            if is_out_major(name):
-                assert t.T.flags.c_contiguous and not t.flags.c_contiguous, name
-            else:
-                assert t.flags.c_contiguous, name
-
-    def test_init_params_layout(self, tiny_cfg):
-        self.check_layout(init_params(tiny_cfg, seed=0))
-
-    def test_load_params_layout_and_values(self, tiny_params, tmp_path):
-        p = tmp_path / "m.lvc"
-        save_params(p, tiny_params)
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs, seed=st.integers(0, 2**32 - 1))
+    def test_every_tensor_is_stored_out_major(self, tmp_path_factory, cfg, seed):
+        # One rule in memory and in the file: every tensor in Fortran order,
+        # each blob the row-major bytes of its transpose.
+        params = random_params(cfg, seed)
+        p = tmp_path_factory.mktemp("ckpt") / "m.lvc"
+        save_params(p, params)
         loaded = load_params(p)
-        self.check_layout(loaded)
-        for name, t in tiny_params.tensors.items():
-            assert loaded.tensors[name].shape == t.shape
-            assert np.array_equal(loaded.tensors[name], t), name
+        row_major = ConverterParams(cfg, {n: t.copy() for n, t in params.tensors.items()})
+        for built in (init_params(cfg, seed), row_major, loaded):
+            for name, t in built.tensors.items():
+                assert t.flags.f_contiguous, name
+        header, header_end = read_header(p)
+        raw = p.read_bytes()[header_end:]
+        for name, t in params.tensors.items():
+            assert loaded.tensors[name].shape == t.shape and loaded.tensors[name].tobytes() == t.tobytes(), name
+            offset = header["manifest"][name][1]
+            assert raw[offset : offset + t.nbytes] == t.T.tobytes(), name
 
     def test_make_converter_copies_no_weights(self):
         params = init_params(MEDIUM, seed=0)
@@ -564,9 +563,8 @@ class TestStorageLayout:
         p = tmp_path / "m.lvc"
         save_params(p, random_tiny_params(4))
         loaded = load_params(p)
-        self.check_layout(loaded)
         for t in loaded.tensors.values():
-            assert not t.flags.owndata
+            assert t.flags.f_contiguous and not t.flags.owndata
             with pytest.raises(ValueError, match="read-only"):
                 t[...] = 0.0
 
@@ -587,17 +585,17 @@ class TestStorageLayout:
         tensors = random_params(cfg, seed).tensors
         z, c, g = random_inputs(cfg, np.random.default_rng(seed), t_s, t_c)
         row_major = ConverterParams(cfg, {n: np.ascontiguousarray(a) for n, a in tensors.items()})
-        out_major = ConverterParams(cfg, {n: np.asfortranarray(a) if is_out_major(n) else a.copy()
-                                          for n, a in tensors.items()})
+        out_major = ConverterParams(cfg, {n: np.asfortranarray(a) for n, a in tensors.items()})
         for params in (row_major, out_major):
             for n, t in params.tensors.items():
-                assert t.flags.f_contiguous if is_out_major(n) else t.flags.c_contiguous, n
+                assert t.flags.f_contiguous, n
         want = forward(out_major, z, c, g)
         assert np.array_equal(forward(row_major, z, c, g), want)
         assert np.array_equal(make_converter(row_major)(z, c, g), want)
         assert np.array_equal(make_converter(out_major)(z, c, g), want)
 
-    @pytest.mark.parametrize("suffix", OUT_MAJOR)
+    @pytest.mark.parametrize("suffix", ["src_in.w", "cond_in.w", "src_out.w", "qkv.w", "attn_out.w", "ffn.w1",
+                                        "ffn.w2", "adaln.w1", "adaln.w2"])
     def test_row_major_projection_put_in_later_is_laid_out(self, tiny_params, suffix):
         # A converter lays out the entries it reads when it is built, so a
         # row-major entry put in after construction gives the unedited
@@ -1041,9 +1039,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_params(p)
 
-    # Only format 3 loads: 1 and 2, once loaded, are refused like any other
-    # version, and the version must be a plain int: 3.0 and True too.
-    @pytest.mark.parametrize("version", [0, 1, 2, 4, 3.0, True])
+    # Only format 4 loads: 1, 2 and 3, once loaded, are refused like any
+    # other version, and the version must be a plain int: 4.0 and True too.
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5, 4.0, True])
     def test_neighbouring_versions_refused(self, tiny_params, tmp_path, version):
         p = tmp_path / "m.lvc"
         save_params(p, tiny_params)
@@ -1051,20 +1049,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_params(p)
 
-    def test_blobs_are_in_storage_order(self, tmp_path):
+    def test_format_3_is_refused(self, tmp_path):
+        # Format 3 has format 4's manifest and differs only in its row-major
+        # adaptive-norm matrices, so only the version number tells them
+        # apart: relabelled 4, it loads with those matrices scrambled.
         params = random_tiny_params(5)
         p = tmp_path / "m.lvc"
-        save_params(p, params)
-        header, header_end = read_header(p)
-        assert header["format_version"] == 3
-        raw = p.read_bytes()[header_end:]
+        save_v3(p, params)
+        with pytest.raises(CheckpointError, match=r"version mismatch \(file 3, supported 4\)"):
+            load_params(p)
+        rewrite_header(p, lambda h: h.update(format_version=4))
+        loaded = load_params(p)
         for name, t in params.tensors.items():
-            shape, offset = header["manifest"][name]
-            assert tuple(shape) == t.shape, name
-            want = t.T.tobytes() if is_out_major(name) else t.tobytes()
-            assert raw[offset : offset + t.nbytes] == want, name
+            assert np.array_equal(loaded.tensors[name], t) != (".adaln.w" in name), name
 
-    def test_format_3_drops_the_dead_tensors(self, tmp_path):
+    def test_format_4_drops_the_dead_tensors(self, tmp_path):
         # Default model: the last block's condition branch loses 3.68 M
         # parameters, 14.7 MB of the file.
         cfg = ConverterConfig()
@@ -1073,21 +1072,21 @@ class TestCheckpoint:
         save_params(p, params)
         header, header_end = read_header(p)
         last = f"layers.{cfg.n_layers - 1}.cond."
-        assert header["format_version"] == 3
+        assert header["format_version"] == 4
         assert not any(last + n in header["manifest"] for n in DEAD)
         assert header["manifest"][last + "qkv.w"][0] == [512, 1024]
         assert header["manifest"][last + "adaln.w2"][0] == [512, 1024]
         whole_block = 4 * sum(math.prod(s) for s in whole_block_shapes(cfg).values())
         assert p.stat().st_size - header_end == 4 * param_count(params) == whole_block - 14_702_592
 
-    @pytest.mark.parametrize("write, version", [(save_v2, 3), (save_v1, 3)])
-    def test_manifest_must_be_its_versions(self, tmp_path, write, version):
-        # A format-1 or format-2 file relabelled version 3 carries a whole
+    @pytest.mark.parametrize("write", [save_v2, save_v1])
+    def test_manifest_must_be_its_versions(self, tmp_path, write):
+        # A format-1 or format-2 file relabelled version 4 carries a whole
         # last block's manifest and is refused for it.
         p = tmp_path / "m.lvc"
         write(p, random_tiny_params(11))
-        rewrite_header(p, lambda h: h.update(format_version=version))
-        with pytest.raises(CheckpointError, match="manifest"):
+        rewrite_header(p, lambda h: h.update(format_version=4))
+        with pytest.raises(CheckpointError, match="manifest is not the layout of its config"):
             load_params(p)
 
     def test_manifest_key_order_does_not_matter(self, tiny_params, tmp_path):
