@@ -83,6 +83,7 @@ __all__ = [
     "toy_encode",
     "toy_decode",
     "ConverterConfig",
+    "ConverterParams",
     "forward",
     "identity_converter",
     "init_params",

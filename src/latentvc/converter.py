@@ -31,12 +31,12 @@ so a stream pays for it once; its closure is single-stream, refuses concurrent
 or reentrant calls, and reads the entries its params held when built, laid
 out: a later replacement does not reach it, an in-place write does.
 
-Every matrix multiplies feature-major activations as (out, in), so
-`ConverterParams` stores every tensor in Fortran order (out-major for a
-matrix) when it is built: each transpose is a C-contiguous view, and the
-process holds one copy of the weights. Checkpoints (format 4) store them in
-the same order, so a loaded model's weights are read-only views of the
-mapped file.
+`ConverterParams` checks the weights against `tensor_shapes` when built and
+stores each as float32 in Fortran order (out-major for a matrix), so every
+(out, in) transpose that multiplies feature-major activations is a
+C-contiguous view. Checkpoints (format 5) hold the version, the config and
+the tensors in that order, so a loaded model's weights are read-only views
+of the mapped file.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ from .errors import CheckpointError, NonFiniteError
 from .features import N_MELS, SPK_DIM
 
 CHECKPOINT_MAGIC = b"LVCPRM01"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 LN_EPS = 1e-5
 # Page the whole checkpoint in when it is mapped, so no chunk pays for it.
 _MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
@@ -102,9 +102,9 @@ def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape map for every parameter tensor.
 
     Linear weights have shape (in, out) and are applied as ``x @ w + b``. This
-    map is the single source of truth for init, save, and load. Shape is not
-    storage order: `ConverterParams` lays out every tensor in Fortran order,
-    so each matrix is stored out-major.
+    map is the single source of truth for the weights: `ConverterParams`
+    requires it and lays out every tensor in Fortran order (out-major for a
+    matrix), and a checkpoint stores the tensors in its order.
 
     The last condition block is condition-pre-only: it has only the key and
     value columns of `qkv.*` and the (s1, b1) columns of `adaln.w2`/`b2`.
@@ -140,15 +140,26 @@ def tensor_shapes(cfg: ConverterConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class ConverterParams:
-    """A config and its named tensors, each laid out in place in Fortran order
-    when built (a copy only if in another); a converter reads them as built."""
+    """A config and its named tensors, checked and laid out when built: the
+    names and shapes must be `tensor_shapes(cfg)` (a ValueError names what
+    differs), and each entry is replaced in place by float32 in Fortran order,
+    a copy only if it is not so already. A converter reads them as built."""
 
     cfg: ConverterConfig
     tensors: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        for name, t in self.tensors.items():
-            self.tensors[name] = np.asarray(t, order="F")
+        shapes = tensor_shapes(self.cfg)
+        if self.tensors.keys() != shapes.keys():
+            missing = [n for n in shapes if n not in self.tensors]
+            extra = [n for n in self.tensors if n not in shapes]
+            raise ValueError(f"tensor names are not those of the config: missing {missing}, extra {extra}")
+        laid_out = {}
+        for name, shape in shapes.items():
+            t = laid_out[name] = np.asarray(self.tensors[name], np.float32, order="F")
+            if t.shape != shape:
+                raise ValueError(f"tensor {name} has shape {t.shape}, its config gives {shape}")
+        self.tensors.update(laid_out)
 
 
 def param_count(params: ConverterParams) -> int:
@@ -161,7 +172,8 @@ def init_params(cfg: ConverterConfig, seed: int) -> ConverterParams:
     Every 1-D tensor (each bias) is zero, and so is each `adaln.w2`: with
     `adaln.b2` that makes all six modulation vectors zero at init, so every
     block starts as the identity on both branches. Each matrix is drawn in
-    its `tensor_shapes` shape, in that order.
+    its `tensor_shapes` shape, in that order, and cast once, straight into
+    the float32 Fortran order that `ConverterParams` keeps without a copy.
     """
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
@@ -171,7 +183,7 @@ def init_params(cfg: ConverterConfig, seed: int) -> ConverterParams:
         else:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
             w = rng.uniform(-limit, limit, size=shape)
-        tensors[name] = w.astype(np.float32)
+        tensors[name] = w.astype(np.float32, order="F")
     return ConverterParams(cfg=cfg, tensors=tensors)
 
 
@@ -207,14 +219,14 @@ def sinusoidal_positions(positions: np.ndarray, d_model: int) -> np.ndarray:
     return pe
 
 
-def _positions(scratch: dict, n: int, d_model: int, dtype) -> np.ndarray:
-    """`sinusoidal_positions` of 0..n-1 in `dtype`: the first n rows of the
+def _positions(scratch: dict, n: int, d_model: int) -> np.ndarray:
+    """`sinusoidal_positions` of 0..n-1 in float32: the first n rows of the
     read-only table `pe` in `scratch`, recomputed only when a longer sequence
     arrives. A row depends only on its position, so a longer table starts
     with the rows of a shorter one."""
     pe = scratch.get("pe")
     if pe is None or len(pe) < n:
-        pe = sinusoidal_positions(np.arange(n), d_model).astype(dtype)
+        pe = sinusoidal_positions(np.arange(n), d_model).astype(np.float32)
         pe.flags.writeable = False
         scratch["pe"] = pe
     return pe[:n]
@@ -290,20 +302,20 @@ def _at(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return flat[: math.prod(shape)].reshape(shape)
 
 
-def _buf(scratch: dict, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A C-contiguous `shape` view of the flat work buffer `key` in `scratch`,
-    which only grows: it is reallocated when it is too small or of another dtype."""
+def _buf(scratch: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous float32 `shape` view of the flat work buffer `key` in
+    `scratch`, which only grows: it is reallocated when it is too small."""
     n = math.prod(shape)
     a = scratch.get(key)
-    if a is None or a.size < n or a.dtype != dtype:
-        a = np.empty(n, dtype)
+    if a is None or a.size < n:
+        a = np.empty(n, np.float32)
         scratch[key] = a
     return _at(a, shape)
 
 
-def _q_scale(cfg: ConverterConfig, dtype: np.dtype):
+def _q_scale(cfg: ConverterConfig) -> np.float32:
     """Attention's 1/sqrt(d_head), applied to query rows after their bias add."""
-    return dtype.type(1.0) / np.sqrt(dtype.type(cfg.d_head))
+    return np.float32(1.0) / np.sqrt(np.float32(cfg.d_head))
 
 
 def _qkv_into(t, prefix: str, h: np.ndarray, mod, ln: np.ndarray, out: np.ndarray, q_scale) -> np.ndarray:
@@ -351,7 +363,6 @@ def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray, scratch: dict
     gives the modulations of every layer.
     """
     cfg, t = params.cfg, params.tensors
-    dtype = t["src_in.w"].dtype
     c, g = np.asarray(c), np.asarray(g)
     if c.ndim != 2 or c.shape[1] != cfg.d_cond:
         raise ValueError(f"condition must be (T_c, {cfg.d_cond}), got {c.shape}")
@@ -365,16 +376,16 @@ def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray, scratch: dict
 
     d, T_c = cfg.d_model, c.shape[0]
     if cfg.use_speaker_condition:
-        mods = speaker_modulations(params, g.astype(dtype))
+        mods = speaker_modulations(params, g.astype(np.float32))
     else:  # no scale, shift or gate anywhere
         mods = [{"src": (None,) * 6, "cond": (None,) * 6}] * cfg.n_layers
-    h_cond0 = t["cond_in.w"].T @ np.ascontiguousarray(c.T, dtype=dtype)
+    h_cond0 = t["cond_in.w"].T @ np.ascontiguousarray(c.T, dtype=np.float32)
     h_cond0 += t["cond_in.b"][:, None]
-    h_cond0 += _positions(scratch, T_c, d, dtype).T
+    h_cond0 += _positions(scratch, T_c, d).T
     rows = [len(t["layers.0.cond.qkv.b"])] if cfg.update_cond_branch else [2 * d] * cfg.n_layers
-    ln, q_scale = np.empty_like(h_cond0), _q_scale(cfg, dtype)
+    ln, q_scale = np.empty_like(h_cond0), _q_scale(cfg)
     cond_qkv = tuple(
-        _qkv_into(t, f"layers.{i}.cond.", h_cond0, mods[i]["cond"][:2], ln, np.empty((n, T_c), dtype), q_scale)
+        _qkv_into(t, f"layers.{i}.cond.", h_cond0, mods[i]["cond"][:2], ln, np.empty((n, T_c), np.float32), q_scale)
         for i, n in enumerate(rows)
     )
     for a in (h_cond0, *cond_qkv):
@@ -393,7 +404,6 @@ def _convert(
     against a prepared reference, reusing the four grow-only work buffers
     and the position table in `scratch`."""
     cfg, t = params.cfg, params.tensors
-    dtype = t["src_in.w"].dtype
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[1] != cfg.d_latent:
         raise ValueError(f"source latents must be (T_s, {cfg.d_latent}), got {z.shape}")
@@ -406,7 +416,7 @@ def _convert(
     T = T_s + T_c
     d, n_heads, d_head, d_ffn = cfg.d_model, cfg.n_heads, cfg.d_head, cfg.d_ffn
     update = cfg.update_cond_branch
-    q_scale, half = _q_scale(cfg, dtype), dtype.type(0.5)
+    q_scale, half = _q_scale(cfg), np.float32(0.5)
 
     # `forward`'s docstring describes the work buffers, the arena's phases and
     # where the scores live. `ln` and the arena are sized for the call up
@@ -414,14 +424,14 @@ def _convert(
     T_u = T_c if update and cfg.n_layers > 1 else 0  # condition tokens that are updated
     ln_size = max(d * max(T_s, T_c), T * (T_s + T_u))
     arena = max(cfg.d_latent * T_s, 3 * d * T, d_ffn * max(T_s, T_u))
-    ln, work = _buf(scratch, "ln", (ln_size,), dtype), _buf(scratch, "work", (arena,), dtype)
+    ln, work = _buf(scratch, "ln", (ln_size,)), _buf(scratch, "work", (arena,))
     zT = _at(work, (cfg.d_latent, T_s))
     np.copyto(zT, z.T)
-    h_src = _buf(scratch, "src.h", (d, T_s), dtype)
+    h_src = _buf(scratch, "src.h", (d, T_s))
     np.matmul(t["src_in.w"].T, zT, out=h_src)
     h_src += t["src_in.b"][:, None]
-    h_src += _positions(scratch, T_s, d, dtype).T
-    h_cond = _buf(scratch, "cond.h", (d, T_c), dtype)
+    h_src += _positions(scratch, T_s, d).T
+    h_cond = _buf(scratch, "cond.h", (d, T_c))
     np.copyto(h_cond, prep.h_cond0)
     trace = [(h_src.T.copy(), h_cond.T.copy())] if return_trace else None
     # Each branch: its name, its state and its token columns in the joint sequence.
@@ -552,13 +562,14 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     """Bind parameters into the (z, c, g) -> z callable that the runs use.
 
     The returned callable is single-stream. It multiplies with views of
-    the entries that `params.tensors` holds now, laid out: a later
-    replacement does not reach it, an in-place write does. It holds one set
-    of the work buffers that `forward` describes, each as large as the
+    the entries that `params.tensors` holds now, checked and laid out: a
+    later replacement does not reach it, an in-place write does. It holds
+    one set of the work buffers that `forward` describes, each as large as the
     largest call has needed, and a position table as long as the longest
     sequence it has seen, all freed with it. It also holds the prepared
     state of the last reference it saw, with a private copy of that (c, g)
-    to compare shape, dtype and values against: chunk after chunk of a
+    to compare shape and values against (`prepare` casts it to float32, so
+    equal values in another dtype reuse the state): chunk after chunk of a
     stream reuses it without copying the reference, and a new or mutated
     reference recomputes it. Its output is bitwise equal to `forward`.
     Calling it again while a call is running, from another thread or
@@ -578,7 +589,7 @@ def make_converter(params: ConverterParams) -> ConverterFn:
             c, g = np.asarray(c), np.asarray(g)
             # array_equal is False for different shapes; a failed prepare
             # leaves the previous reference and its state in place
-            if ref is None or any(a.dtype != b.dtype or not np.array_equal(a, b) for a, b in zip((c, g), ref)):
+            if ref is None or any(not np.array_equal(a, b) for a, b in zip((c, g), ref)):
                 ref_state = prepare(params, c, g, scratch)
                 ref = c.copy(), g.copy()
             return _convert(params, ref_state, z, scratch)
@@ -619,60 +630,44 @@ def _replacing(path: str | Path):
         raise
 
 
-def _manifest(cfg: ConverterConfig) -> dict[str, list]:
-    """Name -> [(in, out) shape, byte offset into the blob section] of a
-    checkpoint of `cfg`: float32 blobs back to back in `tensor_shapes`
-    order. `save_params` writes it; `load_params` requires it."""
-    manifest, offset = {}, 0
-    for name, shape in tensor_shapes(cfg).items():
-        manifest[name] = [list(shape), offset]
-        offset += 4 * math.prod(shape)
-    return manifest
-
-
 def save_params(path: str | Path, params: ConverterParams) -> None:
     """Write magic, uint64 header length, JSON header, then float32 LE blobs.
 
-    The header carries the format version, the config, and the `_manifest`
-    of the config. Each blob is in the storage order of `ConverterParams`:
-    the row-major bytes of the tensor's transpose, (out, in) for a matrix.
-    Trailing spaces pad the header so that the blob section starts on
-    a 64-byte boundary. The file at `path` is replaced by a new one, never
-    rewritten in place.
+    The header is exactly the format version and the config. The tensors,
+    checked and laid out by `ConverterParams` before the file is opened,
+    follow in `tensor_shapes` order, each the row-major bytes of its
+    transpose, (out, in) for a matrix. Trailing spaces pad the header so
+    that the blob section starts on a 64-byte boundary. The file at `path`
+    is replaced by a new one, never rewritten in place.
     """
-    manifest = _manifest(params.cfg)
-    header = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": asdict(params.cfg),
-        "manifest": manifest,
-    }
+    params = ConverterParams(params.cfg, dict(params.tensors))
+    header = {"format_version": CHECKPOINT_VERSION, "config": asdict(params.cfg)}
     header_bytes = json.dumps(header).encode("utf-8")
     header_bytes += b" " * (-(16 + len(header_bytes)) % _BLOB_ALIGN)
     with _replacing(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(len(header_bytes).to_bytes(8, "little"))
         f.write(header_bytes)
-        for name in manifest:
+        for name in tensor_shapes(params.cfg):
             f.write(np.ascontiguousarray(params.tensors[name].T, dtype="<f4"))
 
 
 def load_params(path: str | Path) -> ConverterParams:
-    """Load a checkpoint; validate magic, version, config, manifest and size.
+    """Load a checkpoint; validate magic, version, header, config and size.
 
     The config is the one stored in the file. To change the ablation
     switches, apply `dataclasses.replace` to the result and its `cfg`.
 
-    Only format 4 (`CHECKPOINT_VERSION`) loads; format 3 has the same
-    manifest but row-major adaptive-norm matrices, so only its version number
-    tells it apart. Every check runs before any
-    tensor is touched. The manifest must be the `_manifest` of the file's
-    config, compared as JSON text, so an offset or dimension written as a
-    float or a bool is refused, and the tensor data must start on the
-    64-byte boundary `save_params` pads it to. The file is then mapped
-    read-only, and each tensor is a zero-copy view of the map in Fortran
-    order: read-only, aligned, and in pages that processes share. Replace a
-    loaded file, as `save_params` does, rather than rewrite it in place: that
-    changes or faults the weights of every process that has it mapped.
+    Only format 5 (`CHECKPOINT_VERSION`) loads, as a plain int; its header
+    must hold exactly `format_version` and `config`. The config gives every
+    tensor's shape and, in `tensor_shapes` order, its offset, so the file
+    must be exactly the header plus those blobs, starting on the 64-byte
+    boundary `save_params` pads to. Every check runs before any tensor is
+    touched. The file is then mapped read-only, and each tensor is a
+    zero-copy view of the map in Fortran order: read-only, aligned, and in
+    pages that processes share. Replace a loaded file, as `save_params`
+    does, rather than rewrite it in place: that changes or faults the
+    weights of every process that has it mapped.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -692,16 +687,17 @@ def load_params(path: str | Path) -> ConverterParams:
         version = header.get("format_version")
         if type(version) is not int or version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: version mismatch (file {version!r}, supported {CHECKPOINT_VERSION})")
+        if header.keys() != {"format_version", "config"}:
+            raise CheckpointError(f"{path}: header keys {sorted(header)}, not format_version and config")
         try:
             file_cfg = ConverterConfig(**header["config"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: invalid config in header ({exc})") from exc
 
-        manifest = _manifest(file_cfg)
-        if json.dumps(header.get("manifest"), sort_keys=True) != json.dumps(manifest, sort_keys=True):
-            raise CheckpointError(f"{path}: manifest is not the layout of its config")
-        if header_end + 4 * sum(math.prod(shape) for shape, _ in manifest.values()) > size:
-            raise CheckpointError(f"{path}: truncated file (tensor data extends past EOF)")
+        shapes = tensor_shapes(file_cfg)
+        want = header_end + 4 * sum(math.prod(shape) for shape in shapes.values())
+        if size != want:
+            raise CheckpointError(f"{path}: file is {size} bytes, its header and tensors take {want}")
         if header_end % _BLOB_ALIGN != 0:
             raise CheckpointError(f"{path}: tensor data at byte {header_end}, not on a {_BLOB_ALIGN}-byte boundary")
 
@@ -710,10 +706,10 @@ def load_params(path: str | Path) -> ConverterParams:
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"{path}: cannot map file ({exc})") from exc
 
-    tensors: dict[str, np.ndarray] = {}
-    for name, (shape, offset) in manifest.items():
-        start = header_end + offset
+    tensors, start = {}, header_end
+    for name, shape in shapes.items():
         if start + 4 * math.prod(shape) > len(mapped):
             raise CheckpointError(f"{path}: truncated file (short read in tensor {name})")
         tensors[name] = np.ndarray(shape, "<f4", buffer=mapped, offset=start, order="F")
+        start += tensors[name].nbytes
     return ConverterParams(cfg=file_cfg, tensors=tensors)

@@ -4,11 +4,12 @@ The oracle walks every token and head with explicit python loops in float64
 (math.tanh, math.exp), sharing no code with the vectorized forward, including a property test over
 random tiny geometries. Also covers the zero-gate identity at init, the two
 architecture flags, shape and finiteness validation, the reference cache and
-single-stream guard of `make_converter`, the storage layout of the weights
-and the memory that loading and binding them takes, and the checkpoint
-container (format 4): read-only mapped weights, saves that replace the
-file, tamper rejection before any tensor is read, refusal of every other
-format version, and the condition-pre-only last block.
+single-stream guard of `make_converter`, the check of the weights' names,
+shapes and dtype when `ConverterParams` is built, their storage layout and
+the memory that loading and binding them takes, and the checkpoint container
+(format 5): read-only mapped weights, saves that replace the file, tamper
+rejection before any tensor is read, refusal of every other format version,
+and the condition-pre-only last block.
 """
 
 import json
@@ -19,6 +20,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -227,6 +229,16 @@ def read_header(path):
     return json.loads(raw[16:header_end]), header_end
 
 
+def blob_offsets(cfg):
+    """Name -> byte offset into the blob section of a checkpoint of `cfg`:
+    float32 blobs back to back in `tensor_shapes` order."""
+    offsets, offset = {}, 0
+    for name, shape in tensor_shapes(cfg).items():
+        offsets[name] = offset
+        offset += 4 * math.prod(shape)
+    return offsets
+
+
 def replace_file(path, data):
     """Write `data` as the file at `path` the way `save_params` does: a new
     file renamed over the old one, so no earlier load's map is rewritten."""
@@ -251,17 +263,25 @@ def rewrite_header(path, edit):
     replace_header(path, header)
 
 
+def reverse_keys(d):
+    """Reorder the dict `d` in place, its keys last to first."""
+    items = list(d.items())[::-1]
+    d.clear()
+    d.update(items)
+
+
 # The tensors of a whole last condition block that the condition-pre-only block lacks.
 DEAD = ("attn_out.w", "attn_out.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
 def save_legacy(path, params, version):
-    """Write `params` as a checkpoint of format 1, 2 or 3, as older code did.
+    """Write `params` as a checkpoint of format 1, 2, 3 or 4, as older code
+    did: each header carries a manifest of [shape, offset] per tensor.
     Formats 1 and 2 hold the whole last block, NaN in its dead tensors and
-    columns; format 3 has format 4's manifest. Format 1 writes each blob
-    row-major in its (in, out) shape; formats 2 and 3 write the adaptive-norm
-    matrices so too, and every other tensor as the row-major bytes of its
-    transpose."""
+    columns. Format 1 writes each blob row-major in its (in, out) shape;
+    formats 2 and 3 write the adaptive-norm matrices so too, and every other
+    tensor as the row-major bytes of its transpose; format 4 writes every
+    tensor so, as format 5 does."""
     shapes = whole_block_shapes(params.cfg) if version < 3 else tensor_shapes(params.cfg)
     tensors, manifest, offset = {}, {}, 0
     for name, shape in shapes.items():
@@ -272,7 +292,7 @@ def save_legacy(path, params, version):
         offset += tensors[name].nbytes
     header = json.dumps({"format_version": version, "config": asdict(params.cfg), "manifest": manifest}).encode()
     header += b" " * ((-16 - len(header)) % 64)
-    blobs = b"".join(np.ascontiguousarray(t.T if version > 1 and ".adaln." not in n else t).tobytes()
+    blobs = b"".join(np.ascontiguousarray(t.T if version > 1 and (version > 3 or ".adaln." not in n) else t).tobytes()
                      for n, t in tensors.items())
     replace_file(path, b"LVCPRM01" + len(header).to_bytes(8, "little") + header + blobs)
 
@@ -287,6 +307,10 @@ def save_v2(path, params):
 
 def save_v3(path, params):
     save_legacy(path, params, 3)
+
+
+def save_v4(path, params):
+    save_legacy(path, params, 4)
 
 
 def save_unaligned(path, params):
@@ -520,6 +544,97 @@ class TestForwardProperties:
             assert np.array_equal(conv(z, c, g), forward(params, z, c, g))
 
 
+DTYPES = [np.float16, np.float32, np.float64]
+
+
+class TestParamsGate:
+    # `ConverterParams` is the one description of the weights: the names and
+    # shapes of `tensor_shapes(cfg)`, every tensor float32 in Fortran order.
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=tiny_configs, seed=st.integers(0, 2**32 - 1), edit=st.sampled_from(["drop", "add", "reshape"]),
+           data=st.data())
+    def test_names_and_shapes_are_those_of_the_config(self, tmp_path_factory, cfg, seed, edit, data):
+        tensors = random_params(cfg, seed).tensors
+        bad = dict(tensors)
+        if edit == "add":
+            last = cfg.n_layers - 1
+            name = data.draw(st.sampled_from(["extra.w", f"layers.{last + 1}.src.qkv.w",
+                                              *(f"layers.{last}.cond.{n}" for n in DEAD)]), label="name")
+            bad[name] = np.zeros(3, np.float32)
+            match = rf"missing \[\], extra \['{re.escape(name)}'\]"
+        else:
+            name = data.draw(st.sampled_from(sorted(tensors)), label="name")
+            if edit == "drop":
+                del bad[name]
+                match = rf"missing \['{re.escape(name)}'\], extra \[\]"
+            else:
+                shape = tensors[name].shape
+                wrong = data.draw(st.sampled_from([s for s in (shape[:-1] + (shape[-1] + 1,), shape[::-1], shape + (1,))
+                                                   if s != shape]), label="shape")
+                bad[name] = np.zeros(wrong, np.float32)
+                match = re.escape(f"tensor {name} has shape {wrong}, its config gives {shape}")
+        with pytest.raises(ValueError, match=match):
+            ConverterParams(cfg, dict(bad))
+        # Put in after construction, the entry is refused wherever it is
+        # read, and a refused save leaves the file as it was.
+        p = tmp_path_factory.mktemp("ckpt") / "m.lvc"
+        save_params(p, ConverterParams(cfg, dict(tensors)))
+        old = p.read_bytes()
+        z, c, g = random_inputs(cfg, np.random.default_rng(seed), 1, 1)
+        for use in (lambda q: forward(q, z, c, g), make_converter, lambda q: save_params(p, q)):
+            params = ConverterParams(cfg, dict(tensors))
+            params.tensors.clear()
+            params.tensors.update(bad)
+            with pytest.raises(ValueError, match=match):
+                use(params)
+        assert p.read_bytes() == old and list(p.parent.iterdir()) == [p]
+
+    def test_tensors_of_another_ffn_ratio_are_refused(self, tmp_path):
+        # An ffn_ratio-4 model's tensors under an ffn_ratio-2 config have the
+        # config's names; saved and loaded back, they once gave other
+        # weights with no error.
+        cfg = ConverterConfig(**TINY)
+        assert cfg.ffn_ratio == 2
+        wide = init_params(replace(cfg, ffn_ratio=4), seed=0)
+        match = re.escape("tensor layers.0.src.ffn.w1 has shape (8, 32), its config gives (8, 16)")
+        with pytest.raises(ValueError, match=match):
+            ConverterParams(cfg, dict(wide.tensors))
+        wide.cfg = cfg
+        p = tmp_path / "m.lvc"
+        with pytest.raises(ValueError, match=match):
+            save_params(p, wide)
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs, t_s=st.integers(1, 5), t_c=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_every_dtype_is_laid_out_as_float32(self, tmp_path_factory, cfg, t_s, t_c, seed, data):
+        # One dtype per dict or one per tensor; each tensor is stored as
+        # float32 in Fortran order, so the model is that of the float32
+        # cast, and so is an entry of another dtype put in later and saved.
+        shapes = tensor_shapes(cfg)
+        one = st.sampled_from(DTYPES).map(lambda dt: [dt] * len(shapes))
+        dtypes = data.draw(one | st.lists(st.sampled_from(DTYPES), min_size=len(shapes), max_size=len(shapes)),
+                           label="dtypes")
+        r = np.random.default_rng(seed)
+        drawn = {n: (0.2 * r.standard_normal(s)).astype(dt) for (n, s), dt in zip(shapes.items(), dtypes)}
+        params = ConverterParams(cfg, dict(drawn))
+        cast = ConverterParams(cfg, {n: t.astype(np.float32) for n, t in drawn.items()})
+        for built in (params, init_params(cfg, seed)):
+            for n, t in built.tensors.items():
+                assert t.dtype == np.float32 and t.flags.f_contiguous, n
+        z, c, g = random_inputs(cfg, r, t_s, t_c)
+        want = forward(cast, z, c, g)
+        assert np.array_equal(forward(params, z, c, g), want)
+        assert np.array_equal(make_converter(params)(z, c, g), want)
+        params.tensors.update(drawn)
+        p = tmp_path_factory.mktemp("ckpt") / "m.lvc"
+        save_params(p, params)
+        loaded = load_params(p)
+        for n, t in cast.tensors.items():
+            assert np.array_equal(loaded.tensors[n], t), n
+
+
 class TestStorageLayout:
     @settings(max_examples=25, deadline=None)
     @given(cfg=tiny_configs, seed=st.integers(0, 2**32 - 1))
@@ -534,11 +649,10 @@ class TestStorageLayout:
         for built in (init_params(cfg, seed), row_major, loaded):
             for name, t in built.tensors.items():
                 assert t.flags.f_contiguous, name
-        header, header_end = read_header(p)
-        raw = p.read_bytes()[header_end:]
-        for name, t in params.tensors.items():
+        raw = p.read_bytes()[read_header(p)[1]:]
+        for name, offset in blob_offsets(cfg).items():
+            t = params.tensors[name]
             assert loaded.tensors[name].shape == t.shape and loaded.tensors[name].tobytes() == t.tobytes(), name
-            offset = header["manifest"][name][1]
             assert raw[offset : offset + t.nbytes] == t.T.tobytes(), name
 
     def test_make_converter_copies_no_weights(self):
@@ -547,6 +661,16 @@ class TestStorageLayout:
         conv, peak = traced_peak(make_converter, params)
         assert callable(conv)
         assert peak < 0.05 * nbytes
+
+    def test_init_holds_one_copy(self):
+        # Each draw is cast into float32 Fortran order as it is made, so the
+        # model is never held in float64 (three times its float32 bytes),
+        # nor copied again when the params are built. The slack covers one
+        # float64 draw and its temporaries.
+        nbytes = sum(4 * math.prod(s) for s in tensor_shapes(MEDIUM).values())
+        params, peak = traced_peak(init_params, MEDIUM, 0)
+        assert isinstance(params, ConverterParams)
+        assert peak < 2 * nbytes
 
     def test_load_holds_one_copy(self, tmp_path):
         # The weights are views of the mapped file: the process allocates
@@ -875,7 +999,7 @@ class TestMakeConverter:
         assert len(lengths) == 40 and len(table) == max(lengths) and not table.flags.writeable
         for n in (1, *lengths):
             want = sinusoidal_positions(np.arange(n), d).astype(np.float32)
-            assert np.array_equal(_positions(scratch, n, d, np.float32), want)
+            assert np.array_equal(_positions(scratch, n, d), want)
         assert scratch["pe"] is table
         assert other["pe"] is other_table and len(other_table) == 1
 
@@ -915,6 +1039,27 @@ class TestMakeConverter:
             with pytest.raises(ValueError, match="condition must be"):
                 conv(z, wide, g)
         assert np.array_equal(conv(z, c, g), forward(tiny_params, z, c, g))
+
+    def test_reference_equal_in_value_is_not_prepared_again(self, tiny_params, monkeypatch):
+        # `prepare` casts the reference to float32, so a float64 reference
+        # equal in value to the cached float32 one reuses its state.
+        z, c, g = tiny_inputs(1)
+        c32, g32 = c.astype(np.float32), g.astype(np.float32)
+        c64, g64 = c32.astype(np.float64), g32.astype(np.float64)
+        want = forward(tiny_params, z, c64, g64)
+        calls = []
+        real_prepare = converter_module.prepare
+
+        def counted(params, c, g, scratch):
+            calls.append((c.dtype, g.dtype))
+            return real_prepare(params, c, g, scratch)
+
+        monkeypatch.setattr(converter_module, "prepare", counted)
+        conv = make_converter(tiny_params)
+        assert np.array_equal(conv(z, c32, g32), want)
+        assert np.array_equal(conv(z, c64, g64), want)
+        assert np.array_equal(conv(z, c64, g32), want)
+        assert calls == [(np.float32, np.float32)]
 
     def test_refuses_reentrant_call(self, tiny_params):
         conv = make_converter(tiny_params)
@@ -1039,9 +1184,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_params(p)
 
-    # Only format 4 loads: 1, 2 and 3, once loaded, are refused like any
-    # other version, and the version must be a plain int: 4.0 and True too.
-    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5, 4.0, True])
+    # Only format 5 loads: 1 to 4, once loaded, are refused like any other
+    # version, and the version must be a plain int: 5.0 and True too.
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 6, 5.0, True])
     def test_neighbouring_versions_refused(self, tiny_params, tmp_path, version):
         p = tmp_path / "m.lvc"
         save_params(p, tiny_params)
@@ -1049,52 +1194,61 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_params(p)
 
-    def test_format_3_is_refused(self, tmp_path):
-        # Format 3 has format 4's manifest and differs only in its row-major
-        # adaptive-norm matrices, so only the version number tells them
-        # apart: relabelled 4, it loads with those matrices scrambled.
+    @pytest.mark.parametrize("write", [save_v1, save_v2, save_v3, save_v4])
+    def test_older_formats_are_refused(self, tmp_path, write):
+        # Each older format is refused for its version; relabelled 5, for its
+        # manifest; and relabelled 5 without it, formats 1 and 2, which hold
+        # the whole last block, for their size. Format 4 is format 5 with a
+        # manifest, so it then loads bitwise, and format 3, format 4 with
+        # row-major adaptive-norm matrices, loads with only those scrambled:
+        # only the version number tells them apart.
         params = random_tiny_params(5)
         p = tmp_path / "m.lvc"
-        save_v3(p, params)
-        with pytest.raises(CheckpointError, match=r"version mismatch \(file 3, supported 4\)"):
+        write(p, params)
+        version = read_header(p)[0]["format_version"]
+        with pytest.raises(CheckpointError, match=rf"version mismatch \(file {version}, supported 5\)"):
             load_params(p)
-        rewrite_header(p, lambda h: h.update(format_version=4))
+        rewrite_header(p, lambda h: h.update(format_version=5))
+        with pytest.raises(CheckpointError, match=r"header keys \['config', 'format_version', 'manifest'\]"):
+            load_params(p)
+        rewrite_header(p, lambda h: h.pop("manifest"))
+        if version < 3:
+            with pytest.raises(CheckpointError, match="its header and tensors take"):
+                load_params(p)
+            return
         loaded = load_params(p)
         for name, t in params.tensors.items():
-            assert np.array_equal(loaded.tensors[name], t) != (".adaln.w" in name), name
+            assert np.array_equal(loaded.tensors[name], t) != (version == 3 and ".adaln.w" in name), name
 
-    def test_format_4_drops_the_dead_tensors(self, tmp_path):
+    def test_format_5_drops_the_dead_tensors(self, tmp_path):
         # Default model: the last block's condition branch loses 3.68 M
-        # parameters, 14.7 MB of the file.
+        # parameters, 14.7 MB of the file. The header is the version and
+        # the config alone.
         cfg = ConverterConfig()
-        params = ConverterParams(cfg, {n: np.zeros(s, np.float32) for n, s in tensor_shapes(cfg).items()})
+        shapes = tensor_shapes(cfg)
+        params = ConverterParams(cfg, {n: np.zeros(s, np.float32) for n, s in shapes.items()})
         p = tmp_path / "m.lvc"
         save_params(p, params)
         header, header_end = read_header(p)
+        assert header == {"format_version": 5, "config": asdict(cfg)} and header_end == 256
         last = f"layers.{cfg.n_layers - 1}.cond."
-        assert header["format_version"] == 4
-        assert not any(last + n in header["manifest"] for n in DEAD)
-        assert header["manifest"][last + "qkv.w"][0] == [512, 1024]
-        assert header["manifest"][last + "adaln.w2"][0] == [512, 1024]
+        assert not any(last + n in shapes for n in DEAD)
+        assert shapes[last + "qkv.w"] == shapes[last + "adaln.w2"] == (512, 1024)
         whole_block = 4 * sum(math.prod(s) for s in whole_block_shapes(cfg).values())
         assert p.stat().st_size - header_end == 4 * param_count(params) == whole_block - 14_702_592
 
-    @pytest.mark.parametrize("write", [save_v2, save_v1])
-    def test_manifest_must_be_its_versions(self, tmp_path, write):
-        # A format-1 or format-2 file relabelled version 4 carries a whole
-        # last block's manifest and is refused for it.
-        p = tmp_path / "m.lvc"
-        write(p, random_tiny_params(11))
-        rewrite_header(p, lambda h: h.update(format_version=4))
-        with pytest.raises(CheckpointError, match="manifest is not the layout of its config"):
-            load_params(p)
-
-    def test_manifest_key_order_does_not_matter(self, tiny_params, tmp_path):
+    # The header and its config are JSON objects: the order of their keys
+    # does not matter.
+    @pytest.mark.parametrize("edit", [reverse_keys, lambda h: reverse_keys(h["config"])], ids=["header", "config"])
+    def test_key_order_does_not_matter(self, tiny_params, tmp_path, edit):
         p = tmp_path / "m.lvc"
         save_params(p, tiny_params)
-        rewrite_header(p, lambda h: h.update(manifest=dict(reversed(h["manifest"].items()))))
-        assert next(iter(read_header(p)[0]["manifest"])) == "src_out.b"
+        before = read_header(p)[0]
+        rewrite_header(p, edit)
+        after = read_header(p)[0]
+        assert after == before and [list(after), list(after["config"])] != [list(before), list(before["config"])]
         loaded = load_params(p)
+        assert loaded.cfg == tiny_params.cfg
         for name, t in tiny_params.tensors.items():
             assert np.array_equal(loaded.tensors[name], t), name
 
@@ -1115,14 +1269,34 @@ class TestCheckpoint:
         assert not np.array_equal(load_params(p).tensors["src_in.w"], before["src_in.w"])
         assert list(tmp_path.iterdir()) == [p]
 
-    def test_failed_save_leaves_the_old_file(self, tmp_path):
-        params = random_tiny_params(9)
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # A save that fails after writing the header, here at the first
+        # blob, leaves the old file and no temporary beside it.
         p = tmp_path / "m.lvc"
-        save_params(p, params)
+        save_params(p, random_tiny_params(9))
         old = p.read_bytes()
-        broken = ConverterParams(params.cfg, {n: t for n, t in params.tensors.items() if n != "src_out.b"})
-        with pytest.raises(KeyError):
-            save_params(p, broken)
+        writes = []
+        real_replacing = converter_module._replacing
+
+        class FailsAfterHeader:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                if len(writes) == 3:  # magic, header length, header
+                    raise OSError(28, "No space left on device")
+                writes.append(bytes(data))
+                return self.f.write(data)
+
+        @contextmanager
+        def failing(path):
+            with real_replacing(path) as f:
+                yield FailsAfterHeader(f)
+
+        monkeypatch.setattr(converter_module, "_replacing", failing)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_params(p, random_tiny_params(10))
+        assert writes[0] == b"LVCPRM01" and json.loads(writes[2])["format_version"] == 5
         assert p.read_bytes() == old
         assert list(tmp_path.iterdir()) == [p]
 
@@ -1172,42 +1346,34 @@ class TestCheckpoint:
         p.write_bytes(bytes(raw))
         self.assert_refused_unread(p, nbytes)
 
-    def test_manifest_offset_past_eof(self, tmp_path):
-        p, nbytes = self.medium_checkpoint(tmp_path)
-        rewrite_header(p, lambda h: h["manifest"]["src_out.b"].__setitem__(1, 2**40))
-        self.assert_refused_unread(p, nbytes)
-
-    def test_negative_manifest_offset(self, tmp_path):
-        p, nbytes = self.medium_checkpoint(tmp_path)
-        rewrite_header(p, lambda h: h["manifest"]["src_out.w"].__setitem__(1, -4))
-        self.assert_refused_unread(p, nbytes)
-
-    # Offsets must be the back-to-back ones save_params writes: a float, a
-    # bool, a moved blob or one aliasing another tensor is refused.
-    @pytest.mark.parametrize("name, offset", [
-        ("src_in.b", lambda o: o + 1.5),
-        ("src_in.b", lambda o: o + 4),
-        ("src_in.b", lambda o: 0),
-        ("src_in.w", lambda o: 0.0),
-        ("src_in.w", lambda o: False),
-    ], ids=["float", "moved", "aliased", "float-zero", "bool"])
-    def test_manifest_offset_off_the_layout(self, tmp_path, name, offset):
-        p, nbytes = self.medium_checkpoint(tmp_path)
-        rewrite_header(p, lambda h: h["manifest"][name].__setitem__(1, offset(h["manifest"][name][1])))
-        self.assert_refused_unread(p, nbytes)
-
-    def test_manifest_dimension_written_as_float(self, tmp_path):
-        p, nbytes = self.medium_checkpoint(tmp_path)
-        rewrite_header(p, lambda h: h["manifest"]["src_in.w"].__setitem__(0, [32.0, 64]))
-        self.assert_refused_unread(p, nbytes)
-
     def test_truncated_mid_tensor(self, tmp_path):
         p, nbytes = self.medium_checkpoint(tmp_path)
-        raw = p.read_bytes()
-        header_end = 16 + int.from_bytes(raw[8:16], "little")
-        offset = json.loads(raw[16:header_end])["manifest"]["layers.1.src.ffn.w1"][1]
-        p.write_bytes(raw[: header_end + offset + 6])
+        header_end = read_header(p)[1]
+        p.write_bytes(p.read_bytes()[: header_end + blob_offsets(MEDIUM)["layers.1.src.ffn.w1"] + 6])
         self.assert_refused_unread(p, nbytes)
+
+    # The file must be exactly its header and the blobs of its config.
+    @pytest.mark.parametrize("edit", [lambda raw: raw + b"\0", lambda raw: raw[:-1]], ids=["longer", "shorter"])
+    def test_file_one_byte_off_is_refused(self, tmp_path, edit):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        size = p.stat().st_size
+        p.write_bytes(edit(p.read_bytes()))
+        self.assert_refused_unread(p, nbytes)
+        off_by_one = p.stat().st_size
+        with pytest.raises(CheckpointError, match=f"file is {off_by_one} bytes, its header and tensors take {size}"):
+            load_params(p)
+
+    # The header holds the version and the config and nothing else.
+    @pytest.mark.parametrize("edit, keys", [
+        (lambda h: h.update(manifest={}), "['config', 'format_version', 'manifest']"),
+        (lambda h: h.pop("config"), "['format_version']"),
+    ], ids=["extra-key", "no-config"])
+    def test_header_of_other_keys_is_refused(self, tmp_path, edit, keys):
+        p, nbytes = self.medium_checkpoint(tmp_path)
+        rewrite_header(p, edit)
+        self.assert_refused_unread(p, nbytes)
+        with pytest.raises(CheckpointError, match=re.escape(f"header keys {keys}, not format_version and config")):
+            load_params(p)
 
     @pytest.mark.parametrize("header", [[1, 2], None, "x", 3])
     def test_header_not_an_object(self, tmp_path, header):
@@ -1235,20 +1401,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=r"cannot map file \(\[Errno 12\] Cannot allocate memory\)"):
             load_params(p)
 
-    @pytest.mark.parametrize("manifest", [None, 3, ["src_in.w"]])
-    def test_manifest_not_an_object(self, tmp_path, manifest):
-        p, nbytes = self.medium_checkpoint(tmp_path)
-        rewrite_header(p, lambda h: h.update(manifest=manifest))
-        self.assert_refused_unread(p, nbytes)
-
     def test_short_read_is_refused(self, tmp_path, monkeypatch):
         # The file shrinks after its size was checked, here to a cut inside
         # a tensor: the per-tensor check against the map's length must catch
         # it and name that tensor.
         p, _ = self.medium_checkpoint(tmp_path)
-        header, header_end = read_header(p)
+        header_end = read_header(p)[1]
         full = p.stat().st_size
-        p.write_bytes(p.read_bytes()[: header_end + header["manifest"]["layers.1.src.ffn.w1"][1] + 4096])
+        p.write_bytes(p.read_bytes()[: header_end + blob_offsets(MEDIUM)["layers.1.src.ffn.w1"] + 4096])
         real_fstat = os.fstat
 
         def stale_fstat(fd):
