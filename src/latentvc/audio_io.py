@@ -19,6 +19,7 @@ from .errors import AudioFormatError, NonFiniteError
 
 SAMPLE_RATE = 16000
 _PCM_SCALE = 32768.0  # 16-bit full scale; +32767 reads back as 32767/32768
+_PCM_HI = 32767.0 / _PCM_SCALE
 
 log = logging.getLogger(__name__)
 
@@ -77,16 +78,20 @@ def read_wav(path: str | Path) -> Waveform:
     return Waveform(np.multiply(pcm, 1.0 / _PCM_SCALE, dtype=np.float32))
 
 
+def count_clipped(w: Waveform) -> int:
+    """The number of samples outside [-1, 32767/32768], which 16-bit PCM clips."""
+    return int(np.count_nonzero((w.samples < -1.0) | (w.samples > _PCM_HI)))
+
+
 def write_wav(path: str | Path, w: Waveform) -> int:
     """Write a 16-bit PCM WAV. Out-of-range samples are clipped to [-1, 1).
 
     Round trip through `read_wav` reproduces in-range samples to within one
-    quantization step (1/32768). Returns the number of clipped samples,
-    which is also logged once the file is written.
+    quantization step (1/32768). Returns `count_clipped(w)`, which is also
+    logged once the file is written.
     """
-    hi = 32767.0 / _PCM_SCALE
-    clipped = int(np.count_nonzero((w.samples < -1.0) | (w.samples > hi)))
-    pcm = np.rint(np.clip(w.samples, -1.0, hi) * _PCM_SCALE).astype("<i2")
+    clipped = count_clipped(w)
+    pcm = np.rint(np.clip(w.samples, -1.0, _PCM_HI) * _PCM_SCALE).astype("<i2")
     try:
         # opened here: a `wave.Wave_write` whose own open fails prints a traceback when collected
         with open(path, "wb") as f, wave.open(f, "wb") as wf:

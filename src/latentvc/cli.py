@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import Waveform, read_wav, write_wav
+from .audio_io import Waveform, count_clipped, read_wav, write_wav
 from .codec import D_LATENT, toy_codec
 from .converter import ConverterConfig, ConverterFn, identity_converter, init_params, load_params, make_converter
 from .dataprep import MIN_PAIR_DURATION_S, RoleMode, RoleProbs, sample_mode, synth_pair
@@ -170,8 +170,9 @@ def _cmd_convert(args: argparse.Namespace) -> dict:
 def _streams(args: argparse.Namespace, runs: int, warm_up: bool) -> dict:
     """An optional warm-up stream, then `runs` measured ones pooled into one
     report of their joined chunk records and mean wall time (the queue
-    restarts at each run); only the last run's audio, the same in each, is kept.
-    Late chunks are also named in one line on stderr."""
+    restarts at each run); only the last run's audio, the same in each, is kept
+    and its clipped samples counted. Late chunks are also named in one line on
+    stderr."""
     start = _usage()
     cfg = _stream_cfg(args)
     source, reference, converter = _inputs(args)
@@ -186,8 +187,7 @@ def _streams(args: argparse.Namespace, runs: int, warm_up: bool) -> dict:
     wall_s = float(np.mean([r.wall_s for r in reports]))
     report = LatencyReport(cfg, timings, wall_s, source.duration_s, runs)
     payload = report.to_dict()
-    if args.output is not None:
-        payload["clipped_samples"] = write_wav(args.output, out)
+    payload["clipped_samples"] = count_clipped(out) if args.output is None else write_wav(args.output, out)
     payload["machine"] = _machine(start)
     late = report.late
     if len(late):

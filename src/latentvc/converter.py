@@ -313,21 +313,13 @@ def _buf(scratch: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     return _at(a, shape)
 
 
-def _q_scale(cfg: ConverterConfig) -> np.float32:
-    """Attention's 1/sqrt(d_head), applied to query rows after their bias add."""
-    return np.float32(1.0) / np.sqrt(np.float32(cfg.d_head))
-
-
-def _qkv_into(t, prefix: str, h: np.ndarray, mod, ln: np.ndarray, out: np.ndarray, q_scale) -> np.ndarray:
-    """Project branch state `h` (d, T), layer-normed into `ln` and modulated
-    by `mod`, onto the last len(out) rows of the block's `qkv` and write them
-    into `out`: q, k and v, or k and v alone. With all 3*d rows the query
-    rows are scaled by `q_scale`."""
+def _qkv_into(t, prefix: str, h: np.ndarray, mod, ln: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The modulated norm and QKV projection of branch state `h` (d, T): `h`
+    layer-normed into `ln` and modulated by `mod`, then projected, with bias,
+    onto the last len(out) rows of the block's `qkv` (q, k, v or k, v) in `out`."""
     n = len(out)
     np.matmul(t[prefix + "qkv.w"].T[-n:], _ln_fm_into(h, ln, mod), out=out)
     out += t[prefix + "qkv.b"][-n:, None]
-    if n == 3 * len(h):
-        out[: len(h)] *= q_scale
     return out
 
 
@@ -344,10 +336,10 @@ class Prepared:
     """Everything a forward pass needs that depends only on (c, g).
 
     Arrays are feature-major and read-only. `mods` is `speaker_modulations`,
-    all Nones without speaker conditioning. `cond_qkv` holds the condition
-    rows of the packed QKV of its first len(cond_qkv) layers: layer 0's
-    (q, k, v; k, v in a one-block model) when the condition branch updates,
-    every layer's (k, v) when it is frozen.
+    all Nones without speaker conditioning. Each `cond_qkv` entry is the
+    plain condition rows of its layer's packed QKV, for the first
+    len(cond_qkv) layers: layer 0's (q, k, v; k, v in a one-block model)
+    when the condition branch updates, every layer's (k, v) when it is frozen.
     """
 
     mods: list[dict[str, tuple]]
@@ -383,9 +375,9 @@ def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray, scratch: dict
     h_cond0 += t["cond_in.b"][:, None]
     h_cond0 += _positions(scratch, T_c, d).T
     rows = [len(t["layers.0.cond.qkv.b"])] if cfg.update_cond_branch else [2 * d] * cfg.n_layers
-    ln, q_scale = np.empty_like(h_cond0), _q_scale(cfg)
+    ln = np.empty_like(h_cond0)
     cond_qkv = tuple(
-        _qkv_into(t, f"layers.{i}.cond.", h_cond0, mods[i]["cond"][:2], ln, np.empty((n, T_c), np.float32), q_scale)
+        _qkv_into(t, f"layers.{i}.cond.", h_cond0, mods[i]["cond"][:2], ln, np.empty((n, T_c), np.float32))
         for i, n in enumerate(rows)
     )
     for a in (h_cond0, *cond_qkv):
@@ -416,7 +408,7 @@ def _convert(
     T = T_s + T_c
     d, n_heads, d_head, d_ffn = cfg.d_model, cfg.n_heads, cfg.d_head, cfg.d_ffn
     update = cfg.update_cond_branch
-    q_scale, half = _q_scale(cfg), np.float32(0.5)
+    half = np.float32(0.5)
 
     # `forward`'s docstring describes the work buffers, the arena's phases and
     # where the scores live. `ln` and the arena are sized for the call up
@@ -452,13 +444,14 @@ def _convert(
                 np.copyto(qkv[-len(prep.cond_qkv[i]) :, cols], prep.cond_qkv[i])
                 continue
             p = f"layers.{i}.{br}."
-            _qkv_into(t, p, h, prep.mods[i][br][:2], _at(ln, h.shape), qkv[-len(t[p + "qkv.b"]) :, cols], q_scale)
+            _qkv_into(t, p, h, prep.mods[i][br][:2], _at(ln, h.shape), qkv[-len(t[p + "qkv.b"]) :, cols])
 
-        # One head at a time through one score buffer in `ln`, keys on rows:
-        # scores[key, query]. The softmax reduces over axis 0 and its
-        # normalisation is applied to the head's (d_head, T_q) output, which
-        # overwrites the head's query rows: its score product has read them,
-        # and no other head reads them.
+        # The core scales its T_q query columns by 1/sqrt(d_head), then runs one
+        # head at a time through one score buffer in `ln`, keys on rows:
+        # scores[key, query]. The softmax reduces over axis 0 and its normalisation
+        # is applied to the head's (d_head, T_q) output, which overwrites the
+        # head's query rows: its score product has read them, and no other head does.
+        qkv[:d, :T_q] *= np.float32(1) / np.sqrt(np.float32(d_head))
         scores = _at(ln, (T, T_q))
         for k in range(n_heads):
             q = q_heads[k, :, :T_q]
@@ -538,20 +531,20 @@ def forward(params: ConverterParams, z: np.ndarray, c: np.ndarray, g: np.ndarray
     A call holds four grow-only work buffers: the two branch states
     `src.h` (d, T_s) and `cond.h` (d, T_c); `ln`, which the branches share
     for each layer norm, the attention-out and FFN-out products that follow
-    it, and as GELU's temporary, and which attention uses between the last
-    QKV product and the first attention-out product for its one (T, T_q)
-    score buffer, run through one head at a time (so scratch grows with T²,
-    not n_heads·T²); and one `work` arena whose storage each phase owns in
-    turn: the codec latents staged in and out, attention's packed QKV
-    (3d, T), then the FFN hidden array, GELU'd in place. Each head's
-    (d_head, T_q) output overwrites that head's query rows, which its score
-    product has read and no other head reads. `ln` is sized for the larger
-    of its roles, max(d·max(T_s, T_c), T·T_q), and the arena for its largest
-    phase; T_q is the number of query tokens, T when the condition branch
-    is updated, else T_s. Both branches project their attention output
-    before either FFN runs. Positions are the first rows of one read-only
-    table kept beside the work buffers and recomputed only when a longer
-    sequence arrives; here all of them die with the call.
+    it, and as GELU's temporary, and which the attention core uses between the
+    last QKV product and the first attention-out product: it scales the queries
+    of the packed QKV by 1/sqrt(d_head), then runs its heads one at a time through
+    one (T, T_q) score buffer (so scratch grows with T², not n_heads·T²); and one
+    `work` arena whose storage each phase owns in turn: the codec latents staged
+    in and out, attention's packed QKV (3d, T), then the FFN hidden array, GELU'd
+    in place. Each head's (d_head, T_q) output overwrites that head's query rows,
+    which its score product has read and no other head reads. `ln` is sized for
+    the larger of its roles, max(d·max(T_s, T_c), T·T_q), and the arena for its
+    largest phase; T_q is the number of query tokens, T when the condition branch
+    is updated, else T_s. Both branches project their attention output before
+    either FFN runs. Positions are the first rows of one read-only table kept
+    beside the work buffers and recomputed only when a longer sequence arrives;
+    here all of them die with the call.
     """
     params = ConverterParams(params.cfg, dict(params.tensors))
     scratch: dict = {}

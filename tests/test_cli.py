@@ -556,11 +556,14 @@ class TestClipCount:
         want = self.count_clipped(out)
         assert want > 0 and payload["clipped_samples"] == want
 
-    def test_bench_payload_counts_clipped_samples(self, capsys, loud, tmp_path):
+    # The count is of the emitted audio, whether or not `--output` writes it.
+    @pytest.mark.parametrize("output", [True, False], ids=["output", "no-output"])
+    def test_bench_payload_counts_clipped_samples(self, capsys, loud, tmp_path, output):
         src, ref = loud
+        write = ["--output", str(tmp_path / "out.wav")] if output else []
         code, payload = run_cli(capsys, ["bench", "--source", src, "--reference", ref, "--repeats", "1",
-                                     "--output", str(tmp_path / "out.wav"), "--identity", *GEOMETRY])
-        assert code == 0
+                                     *write, "--identity", *GEOMETRY])
+        assert code == 0 and (tmp_path / "out.wav").exists() == output
         out, _ = stream_run(read_wav(src), read_wav(ref), SMALL_STREAM, toy_codec(), identity_converter)
         want = self.count_clipped(out)
         assert want > 0 and payload["clipped_samples"] == want
@@ -583,7 +586,7 @@ class TestBenchCommand:
         argv = ["bench", "--source", src, "--reference", ref, "--identity", "--repeats", "1", *GEOMETRY]
         before = set(tmp_path.iterdir())
         code, payload = run_cli(capsys, argv)
-        assert code == 0 and "clipped_samples" not in payload
+        assert code == 0 and payload["clipped_samples"] == 0
         assert set(tmp_path.iterdir()) == before
         code, payload = run_cli(capsys, [*argv, "--output", str(out_path)])
         assert code == 0 and payload["clipped_samples"] == 0

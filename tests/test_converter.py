@@ -47,7 +47,7 @@ from latentvc import (
 )
 
 import latentvc.converter as converter_module
-from latentvc.converter import _GELU_C, _convert, _gelu_in_place, _positions, _replacing, prepare
+from latentvc.converter import _GELU_C, _convert, _gelu_in_place, _ln_fm_into, _positions, _replacing, prepare
 
 from conftest import TINY
 
@@ -542,6 +542,23 @@ class TestForwardProperties:
                 c1 += 0.5
             z = r.standard_normal((int(r.integers(1, 6)), cfg.d_latent))
             assert np.array_equal(conv(z, c, g), forward(params, z, c, g))
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs, t_c=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_prepared_qkv_is_the_plain_condition_projection(self, cfg, t_c, seed):
+        # Each `cond_qkv` entry is the plain condition rows of its layer's
+        # packed QKV, bias added: the attention core, not `prepare`, scales
+        # the queries. Layer 0's are q, k and v when the branch updates.
+        params = random_params(cfg, seed)
+        t = params.tensors
+        _, c, g = random_inputs(cfg, np.random.default_rng(seed), 1, t_c)
+        prep = prepare(params, c, g, {})
+        assert len(prep.cond_qkv) == (1 if cfg.update_cond_branch else cfg.n_layers)
+        for i, got in enumerate(prep.cond_qkv):
+            n, p = len(got), f"layers.{i}.cond."
+            assert n == (3 if cfg.update_cond_branch and cfg.n_layers > 1 else 2) * cfg.d_model, i
+            ln = _ln_fm_into(prep.h_cond0, np.empty_like(prep.h_cond0), prep.mods[i]["cond"][:2])
+            assert np.array_equal(got, t[p + "qkv.w"].T[-n:] @ ln + t[p + "qkv.b"][-n:, None]), i
 
 
 DTYPES = [np.float16, np.float32, np.float64]
