@@ -12,9 +12,9 @@ FFN); the modulation form is ``LN(x)*(1+gamma)+beta`` with gated residuals
 freshly initialized block is the identity map on both branches.
 
 Two ablation switches mirror the conditioning study: `use_speaker_condition`
-(off: gamma=beta=0, alpha=1, speaker vector unused) and `update_cond_branch`
-(off: the condition stream still supplies keys/values each layer but receives
-no residual updates after its input projection).
+(off: `_NO_MOD`, i.e. gamma=beta=0, alpha=1; speaker vector unused) and
+`update_cond_branch` (off: the condition stream still supplies keys/values
+each layer but receives no residual updates after its input projection).
 
 Only the source branch has an output head; the condition stream is discarded
 after the last block, so that block's condition branch only supplies keys
@@ -59,6 +59,9 @@ from .features import N_MELS, SPK_DIM
 CHECKPOINT_MAGIC = b"LVCPRM01"
 CHECKPOINT_VERSION = 5
 LN_EPS = 1e-5
+# (s1, b1, a1, s2, b2, a2) without speaker conditioning: scale 1, shift -0
+# and gate 1, each an exact identity on every float32 (x + -0 is x, for 0 too).
+_NO_MOD = (np.float32(1), np.float32(-0.0), np.float32(1)) * 2
 # Page the whole checkpoint in when it is mapped, so no chunk pays for it.
 _MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
 
@@ -257,9 +260,9 @@ def speaker_modulations(params: ConverterParams, g: np.ndarray) -> list[dict[str
     return out
 
 
-def _ln_fm_into(x: np.ndarray, out: np.ndarray, mod=(None, None)) -> np.ndarray:
+def _ln_fm_into(x: np.ndarray, out: np.ndarray, mod) -> np.ndarray:
     """layer_norm over axis 0 of a feature-major (d, T) buffer, written into `out`,
-    then ``out*scale + shift`` for `mod` = (scale, shift), (d, 1) columns or Nones.
+    then ``out*scale + shift`` for `mod` = (scale, shift), (d, 1) columns or scalars.
 
     Same statistics as `layer_norm` on the transposed array; kept separate so
     the hot path can stay feature-major without per-layer transposes.
@@ -270,9 +273,8 @@ def _ln_fm_into(x: np.ndarray, out: np.ndarray, mod=(None, None)) -> np.ndarray:
     np.sqrt(var + LN_EPS, out=var)
     out /= var
     scale, shift = mod
-    if scale is not None:
-        out *= scale
-        out += shift
+    out *= scale
+    out += shift
     return out
 
 
@@ -324,10 +326,9 @@ def _qkv_into(t, prefix: str, h: np.ndarray, mod, ln: np.ndarray, out: np.ndarra
 
 
 def _add_gated(h: np.ndarray, out: np.ndarray, bias: np.ndarray, gate) -> None:
-    """The gated residual ``h += gate*(out + bias)``, computed in `out`; no gate is 1."""
+    """The gated residual ``h += gate*(out + bias)``, computed in `out`."""
     out += bias[:, None]
-    if gate is not None:
-        out *= gate
+    out *= gate
     h += out
 
 
@@ -335,9 +336,9 @@ def _add_gated(h: np.ndarray, out: np.ndarray, bias: np.ndarray, gate) -> None:
 class Prepared:
     """Everything a forward pass needs that depends only on (c, g).
 
-    Arrays are feature-major and read-only. `mods` is `speaker_modulations`,
-    all Nones without speaker conditioning. Each `cond_qkv` entry is the
-    plain condition rows of its layer's packed QKV, for the first
+    Arrays are feature-major and read-only. `mods` is `speaker_modulations`
+    (`_NO_MOD` per block without speaker conditioning). Each `cond_qkv` entry
+    is the plain condition rows of its layer's packed QKV, for the first
     len(cond_qkv) layers: layer 0's (q, k, v; k, v in a one-block model)
     when the condition branch updates, every layer's (k, v) when it is frozen.
     """
@@ -355,7 +356,8 @@ def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray, scratch: dict
     gives the modulations of every layer.
     """
     cfg, t = params.cfg, params.tensors
-    c, g = np.asarray(c), np.asarray(g)
+    with np.errstate(over="ignore"):  # a value past float32's range casts to inf, refused below
+        c, g = np.asarray(c, np.float32), np.asarray(g, np.float32)
     if c.ndim != 2 or c.shape[1] != cfg.d_cond:
         raise ValueError(f"condition must be (T_c, {cfg.d_cond}), got {c.shape}")
     if g.shape != (cfg.d_spk,):
@@ -364,14 +366,12 @@ def prepare(params: ConverterParams, c: np.ndarray, g: np.ndarray, scratch: dict
         raise ValueError("condition must have at least one frame")
     for name, arr in (("condition", c), ("speaker vector", g)):
         if not np.isfinite(arr).all():
-            raise NonFiniteError(f"{name} contains non-finite values")
+            raise NonFiniteError(f"{name} is not finite in float32")
 
     d, T_c = cfg.d_model, c.shape[0]
-    if cfg.use_speaker_condition:
-        mods = speaker_modulations(params, g.astype(np.float32))
-    else:  # no scale, shift or gate anywhere
-        mods = [{"src": (None,) * 6, "cond": (None,) * 6}] * cfg.n_layers
-    h_cond0 = t["cond_in.w"].T @ np.ascontiguousarray(c.T, dtype=np.float32)
+    mods = (speaker_modulations(params, g) if cfg.use_speaker_condition
+            else [{"src": _NO_MOD, "cond": _NO_MOD}] * cfg.n_layers)
+    h_cond0 = t["cond_in.w"].T @ np.ascontiguousarray(c.T)
     h_cond0 += t["cond_in.b"][:, None]
     h_cond0 += _positions(scratch, T_c, d).T
     rows = [len(t["layers.0.cond.qkv.b"])] if cfg.update_cond_branch else [2 * d] * cfg.n_layers
@@ -401,8 +401,6 @@ def _convert(
         raise ValueError(f"source latents must be (T_s, {cfg.d_latent}), got {z.shape}")
     if z.shape[0] < 1:
         raise ValueError("source latents must have at least one frame")
-    if not np.isfinite(z).all():
-        raise NonFiniteError("source latents contain non-finite values")
 
     T_s, T_c = z.shape[0], prep.h_cond0.shape[1]
     T = T_s + T_c
@@ -418,7 +416,10 @@ def _convert(
     arena = max(cfg.d_latent * T_s, 3 * d * T, d_ffn * max(T_s, T_u))
     ln, work = _buf(scratch, "ln", (ln_size,)), _buf(scratch, "work", (arena,))
     zT = _at(work, (cfg.d_latent, T_s))
-    np.copyto(zT, z.T)
+    with np.errstate(over="ignore"):
+        np.copyto(zT, z.T)
+    if not np.isfinite(zT).all():
+        raise NonFiniteError("source latents are not finite in float32")
     h_src = _buf(scratch, "src.h", (d, T_s))
     np.matmul(t["src_in.w"].T, zT, out=h_src)
     h_src += t["src_in.b"][:, None]
@@ -486,7 +487,7 @@ def _convert(
         if return_trace:
             trace.append((h_src.T.copy(), h_cond.T.copy()))
 
-    ln_s = _ln_fm_into(h_src, _at(ln, (d, T_s)))
+    ln_s = _ln_fm_into(h_src, _at(ln, (d, T_s)), _NO_MOD[:2])
     outT = _at(work, (cfg.d_latent, T_s))
     np.matmul(t["src_out.w"].T, ln_s, out=outT)
     outT += t["src_out.b"][:, None]
@@ -559,12 +560,13 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     later replacement does not reach it, an in-place write does. It holds
     one set of the work buffers that `forward` describes, each as large as the
     largest call has needed, and a position table as long as the longest
-    sequence it has seen, all freed with it. It also holds the prepared
-    state of the last reference it saw, with a private copy of that (c, g)
-    to compare shape and values against (`prepare` casts it to float32, so
-    equal values in another dtype reuse the state): chunk after chunk of a
-    stream reuses it without copying the reference, and a new or mutated
-    reference recomputes it. Its output is bitwise equal to `forward`.
+    sequence it has seen, all freed with it. It also holds one entry for the
+    last reference it saw: a private copy of that (c, g), to compare shape
+    and values against, and its prepared state (`prepare` casts it to
+    float32, so equal values in another dtype reuse the state). Chunk after
+    chunk of a stream reuses the entry without copying the reference; a new
+    or mutated reference replaces it, and one that `prepare` refuses leaves
+    it as it was. Its output is bitwise equal to `forward`.
     Calling it again while a call is running, from another thread or
     reentrantly, raises RuntimeError rather than corrupting the shared
     buffers; make a separate converter per concurrent stream.
@@ -572,20 +574,18 @@ def make_converter(params: ConverterParams) -> ConverterFn:
     params = ConverterParams(params.cfg, dict(params.tensors))
     scratch: dict = {}
     busy = threading.Lock()
-    ref, ref_state = None, None
+    ref = None  # (c, g, its prepared state)
 
     def convert(z: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
-        nonlocal ref, ref_state
+        nonlocal ref
         if not busy.acquire(blocking=False):
             raise RuntimeError("converter is single-stream: called while another call is running")
         try:
             c, g = np.asarray(c), np.asarray(g)
-            # array_equal is False for different shapes; a failed prepare
-            # leaves the previous reference and its state in place
+            # array_equal is False for different shapes
             if ref is None or any(not np.array_equal(a, b) for a, b in zip((c, g), ref)):
-                ref_state = prepare(params, c, g, scratch)
-                ref = c.copy(), g.copy()
-            return _convert(params, ref_state, z, scratch)
+                ref = c.copy(), g.copy(), prepare(params, c, g, scratch)
+            return _convert(params, ref[2], z, scratch)
         finally:
             busy.release()
 

@@ -20,8 +20,10 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -841,6 +843,27 @@ class TestArchitectureFlags:
         assert np.array_equal(trace[-1][1], trace[-2][1])
         assert not np.array_equal(trace[-1][0], trace[-2][0])
 
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs, t_s=st.integers(1, 5), t_c=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_no_speaker_is_the_identity_modulation(self, cfg, t_s, t_c, seed):
+        # Without speaker conditioning every block is modulated by gamma =
+        # beta = 0 and alpha = 1: the same model as one whose adaLN output
+        # layers give exactly those, whatever the speaker vector.
+        d, t = cfg.d_model, dict(random_params(cfg, seed).tensors)
+        identity = {6: [0, 0, 1, 0, 0, 1], 2: [0, 0]}
+        for name in t:
+            if name.endswith("adaln.w2"):
+                t[name] = np.zeros_like(t[name])
+            elif name.endswith("adaln.b2"):
+                t[name] = np.repeat(np.float32(identity[len(t[name]) // d]), d)
+        off = ConverterParams(replace(cfg, use_speaker_condition=False), t)
+        on = ConverterParams(replace(cfg, use_speaker_condition=True), t)
+        z, c, g = random_inputs(cfg, np.random.default_rng(seed), t_s, t_c)
+        (want, want_trace), (got, got_trace) = (forward(p, z, c, g, return_trace=True) for p in (off, on))
+        assert np.array_equal(got, want)
+        for a, b in zip(got_trace, want_trace):
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
     def test_each_flag_changes_default_output(self):
         base = random_tiny_params(43)
         z, c, g = tiny_inputs(143)
@@ -894,6 +917,34 @@ class TestForwardValidation:
         g_bad[0] = np.inf
         with pytest.raises(NonFiniteError):
             forward(tiny_params, z, c, g_bad)
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs, t_s=st.integers(1, 5), t_c=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           which=st.sampled_from([0, 1, 2]), value=st.floats(3.5e38, 1e300), negative=st.booleans(),
+           data=st.data())
+    def test_input_past_float32_range_is_refused(self, cfg, t_s, t_c, seed, which, value, negative, data):
+        # A finite float64 past float32's range becomes inf in the converter's
+        # float32 cast. Each input is refused by name, with no RuntimeWarning,
+        # and the closure keeps its previous reference and prepared state.
+        params = random_params(cfg, seed)
+        good = random_inputs(cfg, np.random.default_rng(seed), t_s, t_c)
+        bad = [a.copy() for a in good]
+        at = data.draw(st.tuples(*(st.integers(0, n - 1) for n in bad[which].shape)))
+        bad[which][at] = -value if negative else value
+        refusal = ("source latents are", "condition is", "speaker vector is")[which] + " not finite in float32"
+        want = forward(params, *good)
+        conv = make_converter(params)
+        with warnings.catch_warnings(), mock.patch.object(converter_module, "prepare", wraps=prepare) as prepares:
+            warnings.simplefilter("error", RuntimeWarning)
+            conv(*good)
+            with pytest.raises(NonFiniteError, match=f"^{refusal}$"):
+                forward(params, *bad)
+            prepares.reset_mock()
+            with pytest.raises(NonFiniteError, match=f"^{refusal}$"):
+                conv(*bad)
+            refused = prepares.call_count
+            assert np.array_equal(conv(*good), want)
+            assert prepares.call_count == refused
 
 
 @pytest.fixture(scope="module")
